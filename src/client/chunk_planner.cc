@@ -1,20 +1,12 @@
 #include "client/chunk_planner.h"
 
 #include <cassert>
-#include <chrono>
 #include <utility>
-
-#include "common/hash_pool.h"
 
 namespace stdchk {
 
-ChunkPlanner::ChunkPlanner(std::shared_ptr<const Chunker> chunker,
-                           int hash_workers, WriteStats* stats,
-                           bool stamp_digests)
-    : chunker_(std::move(chunker)),
-      hash_workers_(HashPool::ResolveThreads(hash_workers)),
-      stats_(stats),
-      stamp_digests_(stamp_digests) {
+ChunkPlanner::ChunkPlanner(std::shared_ptr<const Chunker> chunker)
+    : chunker_(std::move(chunker)) {
   assert(chunker_ != nullptr);
   scanner_ = chunker_->MakeScanner();
 }
@@ -33,64 +25,27 @@ std::vector<StagedChunk> ChunkPlanner::Drain(bool final) {
 
   // Freeze the current buffer generation: sealed chunks become ref-counted
   // slices into it (zero-copy; the slices hold it alive), and only the
-  // unsealed tail moves back into the working buffer.
+  // unsealed tail moves back into the working buffer. The working buffer
+  // keeps the frozen generation's capacity, so refilling it does not
+  // regrow (and re-copy) through every power of two.
+  const std::size_t frozen = buffer_.size();
   std::size_t consumed =
       static_cast<std::size_t>(sealed_ends_.back() - buffer_start_);
-  Bytes tail(buffer_.begin() + static_cast<std::ptrdiff_t>(consumed),
-             buffer_.end());
+  Bytes next;
+  if (!final) next.reserve(frozen);
+  next.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(consumed),
+              buffer_.end());
   BufferRef backing = BufferRef::Take(std::move(buffer_));
-  buffer_ = std::move(tail);
+  buffer_ = std::move(next);
 
   out.reserve(sealed_ends_.size());
   std::uint64_t start = buffer_start_;
-  auto t0 = std::chrono::steady_clock::now();
-  if (hash_workers_ <= 1 || sealed_ends_.size() < 2) {
-    // Serial path (N=1), unchanged from the single-threaded engine.
-    for (std::uint64_t end : sealed_ends_) {
-      BufferSlice slice(backing,
-                        static_cast<std::size_t>(start - buffer_start_),
-                        static_cast<std::size_t>(end - start));
-      ChunkId id = ChunkId::For(slice.span());
-      // Downstream verifies compare the stamp instead of re-hashing.
-      if (stamp_digests_) slice.StampDigest(id.digest);
-      out.push_back(StagedChunk{id, std::move(slice)});
-      start = end;
-    }
-    if (stats_) stats_->hash_workers_peak =
-        std::max<std::uint64_t>(stats_->hash_workers_peak, 1);
-  } else {
-    // Slices are immutable views of one frozen generation, so naming them
-    // is embarrassingly parallel; each worker writes its slot, so the plan
-    // order (and therefore the committed chunk map) is byte-identical to
-    // the serial path.
-    for (std::uint64_t end : sealed_ends_) {
-      BufferSlice slice(backing,
-                        static_cast<std::size_t>(start - buffer_start_),
-                        static_cast<std::size_t>(end - start));
-      out.push_back(StagedChunk{ChunkId{}, std::move(slice)});
-      start = end;
-    }
-    const bool stamp = stamp_digests_;
-    // Measured engagement, not the requested fan-out: a busy pool can
-    // leave the whole batch to this thread.
-    int used = HashPool::Shared().ParallelFor(
-        out.size(), hash_workers_, [&out, stamp](std::size_t i) {
-          out[i].id = ChunkId::For(out[i].data.span());
-          if (stamp) out[i].data.StampDigest(out[i].id.digest);
-        });
-    if (stats_) {
-      stats_->hash_workers_peak =
-          std::max<std::uint64_t>(stats_->hash_workers_peak,
-                                  static_cast<std::uint64_t>(used));
-      if (used > 1) ++stats_->hash_parallel_drains;
-    }
-  }
-  if (stats_) {
-    auto t1 = std::chrono::steady_clock::now();
-    stats_->hash_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    stats_->hash_chunks += sealed_ends_.size();
-    stats_->hash_bytes += sealed_ends_.back() - buffer_start_;
+  for (std::uint64_t end : sealed_ends_) {
+    out.push_back(StagedChunk{
+        ChunkId{}, BufferSlice(backing,
+                               static_cast<std::size_t>(start - buffer_start_),
+                               static_cast<std::size_t>(end - start))});
+    start = end;
   }
   buffer_start_ = sealed_ends_.back();
   sealed_ends_.clear();

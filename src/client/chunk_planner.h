@@ -19,17 +19,17 @@
 
 #include "chkpt/chunker.h"
 #include "chunk/chunk.h"
-#include "client/write_stats.h"
 #include "common/buffer.h"
 #include "common/bytes.h"
 
 namespace stdchk {
 
-// A chunk the planner has sealed: content address plus a ref-counted slice
-// of the drained buffer generation, ready for dedup filtering and upload
-// staging. The slice keeps the generation alive for as long as any of its
-// chunks is still pending — no per-chunk copies, so a CLW close-drain of a
-// large image stays at ~1x the image in memory.
+// A chunk the planner has sealed: a ref-counted slice of the drained
+// buffer generation plus its content address, which the write session's
+// naming window fills in (the planner leaves it empty). The slice keeps
+// the generation alive for as long as any of its chunks is still pending —
+// no per-chunk copies, so a CLW close-drain of a large image stays at ~1x
+// the image in memory.
 struct StagedChunk {
   ChunkId id;
   BufferSlice data;
@@ -37,14 +37,7 @@ struct StagedChunk {
 
 class ChunkPlanner {
  public:
-  // `hash_workers` bounds the threads used to SHA-1-name each drain
-  // generation (0 = hardware concurrency, 1 = serial — see
-  // ClientOptions::hash_workers). Naming wall time and fan-out are recorded
-  // into `stats` when provided. `stamp_digests` mirrors
-  // ClientOptions::stamp_chunk_digests.
-  explicit ChunkPlanner(std::shared_ptr<const Chunker> chunker,
-                        int hash_workers = 1, WriteStats* stats = nullptr,
-                        bool stamp_digests = true);
+  explicit ChunkPlanner(std::shared_ptr<const Chunker> chunker);
 
   // Buffers more application data (checkpoint images arrive sequentially)
   // and runs the streaming boundary scan over it — the single
@@ -55,17 +48,15 @@ class ChunkPlanner {
   // three protocols manage differently.
   std::size_t buffered_bytes() const { return buffer_.size(); }
 
-  // Removes and returns chunks whose boundaries are sealed. `final` seals
-  // the tail as well (close-time drain); afterwards the planner is empty.
+  // Removes and returns chunks whose boundaries are sealed, unnamed.
+  // `final` seals the tail as well (close-time drain); afterwards the
+  // planner is empty.
   std::vector<StagedChunk> Drain(bool final);
 
   const Chunker& chunker() const { return *chunker_; }
 
  private:
   std::shared_ptr<const Chunker> chunker_;
-  int hash_workers_;         // resolved: >= 1
-  WriteStats* stats_;        // optional naming accounting sink
-  bool stamp_digests_;
   std::unique_ptr<ChunkScanner> scanner_;
   Bytes buffer_;                 // bytes from the last drained boundary on
   std::uint64_t buffer_start_ = 0;  // absolute stream offset of buffer_[0]

@@ -44,54 +44,83 @@ Status ChunkUploader::Flush() {
   // one manager round trip per chunk.
   STDCHK_RETURN_IF_ERROR(coordinator_->EnsureReservation(pending_bytes_));
 
-  const int needed = replicas_needed();
-  const std::size_t stripe_size = coordinator_->stripe().size();
-  const std::size_t attempt_limit = stripe_size * 2 + 4;
-
   // Plan every chunk's candidate walk up front; the cursor advances per
   // chunk so successive chunks spread round-robin over the stripe.
-  struct Tracked {
-    Pending* p;
-    std::size_t attempts = 0;
-  };
-  std::vector<Tracked> tracked;
-  tracked.reserve(pending_.size());
+  std::vector<Unit> units;
+  std::vector<std::set<NodeId>> taken;
+  units.reserve(pending_.size());
+  taken.reserve(pending_.size());
   for (Pending& p : pending_) {
-    p.candidates = placement_->PlanChunk(coordinator_->stripe());
+    Unit u;
+    u.put = ChunkPut{p.chunk.id, p.chunk.data};
+    u.candidates = placement_->PlanChunk(coordinator_->stripe());
     placement_->OnChunkPlaced(coordinator_->stripe());
-    tracked.push_back(Tracked{&p});
+    u.placed = p.replicas;
+    u.taken = &taken.emplace_back(p.replicas.begin(), p.replicas.end());
+    units.push_back(std::move(u));
   }
+  const int needed = replicas_needed();
+  Status drained = DrainRounds(units, needed);
+  // Validate the whole drain before settling anything: a failed flush
+  // must leave pending_ (including replicas already stored this round)
+  // intact, so a retry tops up what is missing instead of re-uploading
+  // and double-consuming the reservation.
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    pending_[i].replicas = std::move(units[i].placed);
+  }
+  STDCHK_RETURN_IF_ERROR(drained);
+  for (const Pending& p : pending_) {
+    if (p.replicas.empty()) {
+      return UnavailableError("could not store chunk on any benefactor");
+    }
+    if (static_cast<int>(p.replicas.size()) < needed &&
+        options_.semantics == WriteSemantics::kPessimistic) {
+      return UnavailableError(
+          "pessimistic write could not reach replication target " +
+          std::to_string(needed));
+    }
+  }
+  for (Pending& p : pending_) {
+    coordinator_->ConsumeReserved(p.chunk.data.size());
+    coordinator_->SetReplicas(p.map_slot, std::move(p.replicas));
+  }
+  pending_.clear();
+  pending_bytes_ = 0;
+  return OkStatus();
+}
 
-  // Drain rounds: each round assigns every still-needy chunk its next
+Status ChunkUploader::DrainRounds(std::vector<Unit>& units, int needed) {
+  const std::size_t attempt_limit = coordinator_->stripe().size() * 2 + 4;
+  // Drain rounds: each round assigns every still-needy unit its next
   // placement candidate, then puts one (or more, above max_batch_chunks)
   // batched PUT per target node in flight — all nodes concurrently — and
   // harvests the completions.
   while (true) {
-    std::map<NodeId, std::vector<Pending*>> queues;
-    for (Tracked& t : tracked) {
-      Pending& p = *t.p;
-      if (static_cast<int>(p.replicas.size()) >= needed) continue;
-      // Next candidate not already holding the chunk; every pop counts
-      // against the failover budget.
+    std::map<NodeId, std::vector<Unit*>> queues;
+    for (Unit& u : units) {
+      if (static_cast<int>(u.placed.size()) >= needed) continue;
+      // Next candidate the unit may go to; every pop counts against the
+      // failover budget.
       NodeId target = kInvalidNode;
-      while (!p.candidates.empty() && t.attempts < attempt_limit) {
-        NodeId c = p.candidates.front();
-        p.candidates.erase(p.candidates.begin());
-        ++t.attempts;
-        if (std::find(p.replicas.begin(), p.replicas.end(), c) ==
-            p.replicas.end()) {
+      while (!u.candidates.empty() && u.attempts < attempt_limit) {
+        NodeId c = u.candidates.front();
+        u.candidates.erase(u.candidates.begin());
+        ++u.attempts;
+        if (!u.taken->contains(c)) {
           target = c;
           break;
         }
       }
-      if (target != kInvalidNode) queues[target].push_back(&p);
+      if (target == kInvalidNode) continue;
+      u.taken->insert(target);
+      queues[target].push_back(&u);
     }
     if (queues.empty()) break;
 
     // Submit the whole round before waiting on any of it.
     struct InflightBatch {
       NodeId node;
-      std::vector<Pending*> items;
+      std::vector<Unit*> items;
     };
     std::map<OpHandle, InflightBatch> inflight;
     for (auto& [node, items] : queues) {
@@ -102,9 +131,7 @@ Status ChunkUploader::Flush() {
         std::size_t end = std::min(items.size(), begin + batch_limit);
         std::vector<ChunkPut> batch;
         batch.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          batch.push_back(ChunkPut{items[i]->chunk.id, items[i]->chunk.data});
-        }
+        for (std::size_t i = begin; i < end; ++i) batch.push_back(items[i]->put);
         OpHandle h = transport_->Submit(ChunkOp::PutBatch(node, std::move(batch)));
         inflight.emplace(
             h, InflightBatch{node, {items.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -126,61 +153,40 @@ Status ChunkUploader::Flush() {
 
       if (c.status.ok()) {
         ++stats_->batched_puts;
-        for (Pending* p : batch.items) {
-          p->replicas.push_back(batch.node);
-          stats_->bytes_transferred += p->chunk.data.size();
+        for (Unit* u : batch.items) {
+          u->placed.push_back(batch.node);
+          stats_->bytes_transferred += u->put.data.size();
           ++stats_->replica_puts;
         }
         continue;
       }
-      // The node rejected the batch (offline, unreachable, full): swap it
-      // out of the stripe and patch *every* pending chunk's walk in place —
+      // The node rejected the batch (offline, unreachable, full): free it
+      // for each affected unit so the unit can walk on, then swap it out
+      // of the stripe and patch *every* unit's walk in place —
       // walks were snapshotted from the pre-failure stripe, so the fresh
-      // donor must take over the dead node's walk positions (and chunks
+      // donor must take over the dead node's walk positions (and units
       // outside this batch must see it too). Without a replacement, drop
       // the dead node so walks stop burning failover budget on it. Later
       // completions from the same node this round fail consistently and
       // skip the (already done) replacement.
       STDCHK_LOG(kDebug, "client")
-          << "batch put of " << batch.items.size() << " chunks to node "
+          << "batch put of " << batch.items.size() << " units to node "
           << batch.node << " failed: " << c.status.ToString();
+      for (Unit* u : batch.items) u->taken->erase(batch.node);
       if (!replaced_this_round.insert(batch.node).second) continue;
       auto fresh = coordinator_->ReplaceStripeMember(batch.node);
-      for (Tracked& t : tracked) {
-        Pending& p = *t.p;
+      for (Unit& u : units) {
         if (fresh.ok()) {
-          std::replace(p.candidates.begin(), p.candidates.end(), batch.node,
+          std::replace(u.candidates.begin(), u.candidates.end(), batch.node,
                        fresh.value());
         } else {
-          p.candidates.erase(std::remove(p.candidates.begin(),
-                                         p.candidates.end(), batch.node),
-                             p.candidates.end());
+          u.candidates.erase(std::remove(u.candidates.begin(),
+                                         u.candidates.end(), batch.node),
+                             u.candidates.end());
         }
       }
     }
   }
-
-  // Validate the whole drain before settling anything: a failed flush
-  // must leave pending_ (including replicas already stored this round)
-  // intact, so a retry tops up what is missing instead of re-uploading
-  // and double-consuming the reservation.
-  for (const Pending& p : pending_) {
-    if (p.replicas.empty()) {
-      return UnavailableError("could not store chunk on any benefactor");
-    }
-    if (static_cast<int>(p.replicas.size()) < needed &&
-        options_.semantics == WriteSemantics::kPessimistic) {
-      return UnavailableError(
-          "pessimistic write could not reach replication target " +
-          std::to_string(needed));
-    }
-  }
-  for (Pending& p : pending_) {
-    coordinator_->ConsumeReserved(p.chunk.data.size());
-    coordinator_->SetReplicas(p.map_slot, std::move(p.replicas));
-  }
-  pending_.clear();
-  pending_bytes_ = 0;
   return OkStatus();
 }
 
@@ -212,22 +218,13 @@ Status ChunkUploader::FlushErasure() {
   // One placement unit per shard. Shards of one group must land on
   // distinct benefactors — a single death may cost at most one of the m
   // losses the code tolerates.
-  struct ShardUpload {
-    Pending* parent = nullptr;
-    int index = 0;  // shard order within the group: data first, then parity
-    ChunkId id;
-    BufferSlice data;
-    std::vector<NodeId> candidates;
-    std::size_t attempts = 0;
-    NodeId placed = kInvalidNode;
-  };
-  std::vector<ShardUpload> shards;
-  shards.reserve(pending_.size() * static_cast<std::size_t>(k + m));
-  std::map<Pending*, std::set<NodeId>> group_nodes;
+  const std::size_t group_size = static_cast<std::size_t>(k + m);
+  std::vector<Unit> units;
+  units.reserve(pending_.size() * group_size);
+  std::vector<std::set<NodeId>> group_nodes(pending_.size());
 
   HashPool& pool = HashPool::Shared();
   const int workers = HashPool::ResolveThreads(options_.hash_workers);
-  const std::size_t attempt_limit = coordinator_->stripe().size() * 2 + 4;
 
   for (Pending& p : pending_) {
     const std::uint32_t size = static_cast<std::uint32_t>(p.chunk.data.size());
@@ -269,12 +266,12 @@ Status ChunkUploader::FlushErasure() {
     std::vector<NodeId> walk = placement_->PlanChunk(coordinator_->stripe());
     placement_->OnChunkPlaced(coordinator_->stripe());
     for (int s = 0; s < k + m; ++s) {
-      ShardUpload u;
-      u.parent = &p;
-      u.index = s;
-      u.id = ids[static_cast<std::size_t>(s)];
-      u.data = slices[static_cast<std::size_t>(s)];
-      if (options_.stamp_chunk_digests) u.data.StampDigest(u.id.digest);
+      Unit u;
+      u.put.id = ids[static_cast<std::size_t>(s)];
+      u.put.data = slices[static_cast<std::size_t>(s)];
+      if (options_.stamp_chunk_digests) u.put.data.StampDigest(u.put.id.digest);
+      u.put.group = p.chunk.id;
+      u.put.shard_index = s;
       // Rotate the group's walk by the shard index so the group fans out
       // across the stripe instead of queueing on its head.
       std::size_t rot = static_cast<std::size_t>(s) % walk.size();
@@ -282,121 +279,27 @@ Status ChunkUploader::FlushErasure() {
                           walk.end());
       u.candidates.insert(u.candidates.end(), walk.begin(),
                           walk.begin() + static_cast<std::ptrdiff_t>(rot));
-      shards.push_back(std::move(u));
+      u.taken = &group_nodes[units.size() / group_size];
+      units.push_back(std::move(u));
     }
   }
-
-  // Drain rounds, mirroring the replication flush: assign each unplaced
-  // shard its next candidate not already used by a sibling, then keep one
-  // batched PUT per target node in flight and harvest.
-  while (true) {
-    std::map<NodeId, std::vector<ShardUpload*>> queues;
-    for (ShardUpload& u : shards) {
-      if (u.placed != kInvalidNode) continue;
-      std::set<NodeId>& used = group_nodes[u.parent];
-      NodeId target = kInvalidNode;
-      while (!u.candidates.empty() && u.attempts < attempt_limit) {
-        NodeId c = u.candidates.front();
-        u.candidates.erase(u.candidates.begin());
-        ++u.attempts;
-        if (!used.contains(c)) {
-          target = c;
-          break;
-        }
-      }
-      if (target != kInvalidNode) {
-        used.insert(target);
-        queues[target].push_back(&u);
-      }
-    }
-    if (queues.empty()) break;
-
-    struct InflightBatch {
-      NodeId node;
-      std::vector<ShardUpload*> items;
-    };
-    std::map<OpHandle, InflightBatch> inflight;
-    for (auto& [node, items] : queues) {
-      std::size_t batch_limit = options_.max_batch_chunks == 0
-                                    ? items.size()
-                                    : options_.max_batch_chunks;
-      for (std::size_t begin = 0; begin < items.size(); begin += batch_limit) {
-        std::size_t end = std::min(items.size(), begin + batch_limit);
-        std::vector<ChunkPut> batch;
-        batch.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          ChunkPut put;
-          put.id = items[i]->id;
-          put.data = items[i]->data;
-          put.group = items[i]->parent->chunk.id;
-          put.shard_index = items[i]->index;
-          batch.push_back(std::move(put));
-        }
-        OpHandle h =
-            transport_->Submit(ChunkOp::PutBatch(node, std::move(batch)));
-        inflight.emplace(
-            h, InflightBatch{node,
-                             {items.begin() + static_cast<std::ptrdiff_t>(begin),
-                              items.begin() + static_cast<std::ptrdiff_t>(end)}});
-      }
-    }
-    stats_->inflight_put_peak =
-        std::max<std::uint64_t>(stats_->inflight_put_peak, inflight.size());
-
-    std::set<NodeId> replaced_this_round;
-    while (!inflight.empty()) {
-      std::vector<OpHandle> handles;
-      handles.reserve(inflight.size());
-      for (const auto& [h, b] : inflight) handles.push_back(h);
-      STDCHK_ASSIGN_OR_RETURN(OpCompletion c, transport_->WaitAny(handles));
-      auto it = inflight.find(c.handle);
-      InflightBatch batch = std::move(it->second);
-      inflight.erase(it);
-
-      if (c.status.ok()) {
-        ++stats_->batched_puts;
-        for (ShardUpload* u : batch.items) {
-          u->placed = batch.node;
-          stats_->bytes_transferred += u->data.size();
-          ++stats_->replica_puts;
-          if (u->index >= k) {
-            ++stats_->parity_shards_written;
-            stats_->parity_bytes_written += u->data.size();
-          } else {
-            ++stats_->data_shards_written;
-          }
-        }
-        continue;
-      }
-      STDCHK_LOG(kDebug, "client")
-          << "batch put of " << batch.items.size() << " shards to node "
-          << batch.node << " failed: " << c.status.ToString();
-      // Free the dead node in each affected group so its shard can walk
-      // on, then swap the stripe member and patch every walk, exactly as
-      // the replication drain does.
-      for (ShardUpload* u : batch.items) {
-        group_nodes[u->parent].erase(batch.node);
-      }
-      if (!replaced_this_round.insert(batch.node).second) continue;
-      auto fresh = coordinator_->ReplaceStripeMember(batch.node);
-      for (ShardUpload& u : shards) {
-        if (fresh.ok()) {
-          std::replace(u.candidates.begin(), u.candidates.end(), batch.node,
-                       fresh.value());
-        } else {
-          u.candidates.erase(std::remove(u.candidates.begin(),
-                                         u.candidates.end(), batch.node),
-                             u.candidates.end());
-        }
-      }
+  Status drained = DrainRounds(units, /*needed=*/1);
+  for (const Unit& u : units) {
+    if (u.placed.empty()) continue;
+    if (u.put.shard_index >= k) {
+      ++stats_->parity_shards_written;
+      stats_->parity_bytes_written += u.put.data.size();
+    } else {
+      ++stats_->data_shards_written;
     }
   }
+  STDCHK_RETURN_IF_ERROR(drained);
 
   // All k+m shards of every group must have landed: unlike replication
   // there is no optimistic shortfall — the parity IS the durability, and a
   // group born below full strength has already spent its loss budget.
-  for (const ShardUpload& u : shards) {
-    if (u.placed == kInvalidNode) {
+  for (const Unit& u : units) {
+    if (u.placed.empty()) {
       return UnavailableError(
           "could not stripe all " + std::to_string(k + m) +
           " erasure shards across distinct benefactors");
@@ -404,12 +307,11 @@ Status ChunkUploader::FlushErasure() {
   }
   std::size_t idx = 0;
   for (Pending& p : pending_) {
-    std::vector<ShardLocation> locs(static_cast<std::size_t>(k + m));
+    std::vector<ShardLocation> locs(group_size);
     std::uint64_t consumed = 0;
-    for (int s = 0; s < k + m; ++s, ++idx) {
-      locs[static_cast<std::size_t>(s)] =
-          ShardLocation{shards[idx].id, shards[idx].placed};
-      consumed += shards[idx].data.size();
+    for (std::size_t s = 0; s < group_size; ++s, ++idx) {
+      locs[s] = ShardLocation{units[idx].put.id, units[idx].placed.front()};
+      consumed += units[idx].put.data.size();
     }
     coordinator_->ConsumeReserved(consumed);
     coordinator_->SetShards(p.map_slot, k, m, std::move(locs));

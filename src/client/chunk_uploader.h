@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "client/chunk_planner.h"
@@ -52,18 +53,33 @@ class ChunkUploader {
   // fails (§IV.A tunable write semantics).
   Status Flush();
 
-  std::uint64_t pending_bytes() const { return pending_bytes_; }
   std::size_t pending_chunks() const { return pending_.size(); }
 
  private:
   struct Pending {
     StagedChunk chunk;
     std::size_t map_slot = 0;
+    std::vector<NodeId> replicas;  // nodes that accepted the chunk
+  };
+  // One placement unit of a flush: a whole chunk (replication) or one
+  // shard (erasure).
+  struct Unit {
+    ChunkPut put;
     std::vector<NodeId> candidates;  // remaining placement walk
-    std::vector<NodeId> replicas;    // nodes that accepted the chunk
+    std::size_t attempts = 0;        // failover budget spent
+    std::vector<NodeId> placed;      // nodes that accepted it
+    // Nodes it must not be sent to: those holding it or with it in flight
+    // (for a shard, those holding any shard of its group).
+    std::set<NodeId>* taken = nullptr;
   };
 
   int replicas_needed() const;
+  // Walks every unit with fewer than `needed` placements through its
+  // candidates in rounds — one batched PUT per target node per round, all
+  // in flight at once — swapping failed nodes out of the stripe. Returns
+  // an error only if the transport does; shortfalls are left for the
+  // caller to judge.
+  Status DrainRounds(std::vector<Unit>& units, int needed);
   // The erasure-coded drain: encode, name, and stripe shards. All-or-
   // nothing per call — a failed flush settles nothing and a retry re-encodes
   // (shard puts are content-addressed, so re-sending an already-stored

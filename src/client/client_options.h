@@ -13,7 +13,7 @@ namespace stdchk {
 // same committed file; they differ in when data leaves the client:
 //   CLW buffers the whole file locally and pushes at close();
 //   IW  pushes each temp-file-sized increment as it completes;
-//   SW  pushes each chunk as soon as it is produced (no local spill).
+//   SW  pushes each chunk as soon as it is named (no local spill).
 enum class WriteProtocol { kCompleteLocal, kIncremental, kSlidingWindow };
 
 // §IV.A "tunable write semantics": pessimistic writes return only after the
@@ -68,12 +68,15 @@ struct ClientOptions {
   // re-hash-per-hop data path (bench baselines).
   bool stamp_chunk_digests = true;
 
-  // Threads used to SHA-1-name the chunks of each drain generation
-  // (including the session's own thread). Drain slices are immutable and
-  // independent, so naming parallelizes safely; results are reassembled in
-  // plan order, making the committed chunk map byte-identical for every
-  // setting. 0 = hardware concurrency; 1 = today's serial path, bit for
-  // bit (the shared HashPool is never touched).
+  // W: threads used to SHA-1-name drain generations (including the
+  // session's own thread), and the SW window size — SW keeps up to W
+  // chunk-sizes unpushed while their names are computed behind the
+  // application, and a push failure surfaces at the next Write() or at
+  // Close(). Drain slices are immutable and independent, so naming
+  // parallelizes safely; generations are pushed in file order, making the
+  // committed chunk map byte-identical for every setting. 0 = hardware
+  // concurrency; 1 = the synchronous one-chunk window, bit for bit (the
+  // shared HashPool is never touched).
   int hash_workers = 0;
 
   // Decentralized placement (epoch-versioned table): the proxy caches the

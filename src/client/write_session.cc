@@ -1,6 +1,7 @@
 #include "client/write_session.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 namespace stdchk {
@@ -31,48 +32,98 @@ ClientOptions ResolveOptions(MetadataManager* manager,
   return options;
 }
 
+std::uint64_t NanosSince(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>((std::chrono::steady_clock::now() - t0) /
+                                    std::chrono::nanoseconds(1));
+}
+
 }  // namespace
 
 WriteSession::WriteSession(MetadataManager* manager, Transport* transport,
                            CheckpointName name, ClientOptions options,
                            PlacementTableCache* table_cache)
     : options_(ResolveOptions(manager, name, std::move(options))),
-      planner_(options_.chunker, options_.hash_workers, &stats_,
-               options_.stamp_chunk_digests),
+      planner_(options_.chunker),
       placement_(std::make_unique<RoundRobinPlacement>()),
       coordinator_(manager, transport, std::move(name), options_, &stats_,
                    table_cache),
-      uploader_(transport, placement_.get(), &coordinator_, options_, &stats_) {}
+      uploader_(transport, placement_.get(), &coordinator_, options_, &stats_),
+      naming_workers_(HashPool::ResolveThreads(options_.hash_workers)) {}
 
 WriteSession::~WriteSession() {
   if (!closed_ && !aborted_) Abort();
 }
 
-Status WriteSession::StageSealedChunks(bool final) {
-  std::vector<StagedChunk> chunks = planner_.Drain(final);
-  if (chunks.empty()) return OkStatus();
-  stats_.chunks_total += chunks.size();
+void WriteSession::SealAndPost(bool final) {
+  Generation gen;
+  gen.chunks = planner_.Drain(final);
+  if (gen.chunks.empty()) return;
+  for (const StagedChunk& chunk : gen.chunks) gen.bytes += chunk.data.size();
+  stats_.hash_chunks += gen.chunks.size();
+  stats_.hash_bytes += gen.bytes;
 
-  // One compare-by-hash round trip covers the whole drain. Best-effort:
-  // nothing between Drain() and Stage() may fail, or sealed chunks would
-  // be lost from the stream.
-  std::vector<std::vector<NodeId>> reuse;
-  if (options_.incremental_fsch) {
-    std::vector<ChunkId> ids;
-    ids.reserve(chunks.size());
-    for (const StagedChunk& chunk : chunks) ids.push_back(chunk.id);
-    reuse = coordinator_.LocateReusable(ids);
-  }
+  // Slices are immutable views of one frozen generation, so naming them is
+  // embarrassingly parallel; each task fills its own slot of a vector whose
+  // storage stays put in the window, and generations are pushed in order,
+  // so the committed chunk map is the same for any W.
+  StagedChunk* slots = gen.chunks.data();
+  const bool stamp = options_.stamp_chunk_digests;
+  auto t0 = std::chrono::steady_clock::now();
+  gen.naming = HashPool::Shared().Post(
+      gen.chunks.size(), naming_workers_, [this, slots, stamp](std::size_t i) {
+        if (naming_cancelled_) return;
+        int now = ++naming_running_;
+        for (int peak = naming_peak_; now > peak &&
+             !naming_peak_.compare_exchange_weak(peak, now);) {
+        }
+        StagedChunk& chunk = slots[i];
+        chunk.id = ChunkId::For(chunk.data.span());
+        // Downstream verifies compare the stamp instead of re-hashing.
+        if (stamp) chunk.data.StampDigest(chunk.id.digest);
+        --naming_running_;
+      });
+  stats_.hash_ns += NanosSince(t0);  // W = 1 names inline, inside Post
+  window_bytes_ += gen.bytes;
+  window_.push_back(std::move(gen));
+}
 
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    StagedChunk& chunk = chunks[i];
-    if (!reuse.empty() && !reuse[i].empty()) {
-      coordinator_.ReuseExisting(
-          chunk.id, static_cast<std::uint32_t>(chunk.data.size()),
-          std::move(reuse[i]));
-      continue;
+Status WriteSession::PushWindow(bool all) {
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(naming_workers_) * options_.chunk_size;
+  while (!window_.empty()) {
+    bool full = window_bytes_ + planner_.buffered_bytes() >= limit;
+    if (!all && !full && !window_.front().naming.done()) break;
+    Generation gen = std::move(window_.front());
+    window_.pop_front();
+    window_bytes_ -= gen.bytes;
+    auto t0 = std::chrono::steady_clock::now();
+    HashPool::Shared().Await(gen.naming);
+    stats_.hash_ns += NanosSince(t0);
+    stats_.hash_workers_peak = std::max<std::uint64_t>(
+        stats_.hash_workers_peak, static_cast<std::uint64_t>(naming_peak_));
+    stats_.chunks_total += gen.chunks.size();
+
+    // One compare-by-hash round trip covers the whole generation.
+    // Best-effort: nothing between leaving the window and Stage() may
+    // fail, or sealed chunks would be lost from the stream.
+    std::vector<std::vector<NodeId>> reuse;
+    if (options_.incremental_fsch) {
+      std::vector<ChunkId> ids;
+      ids.reserve(gen.chunks.size());
+      for (const StagedChunk& chunk : gen.chunks) ids.push_back(chunk.id);
+      reuse = coordinator_.LocateReusable(ids);
     }
-    uploader_.Stage(std::move(chunk));
+    for (std::size_t i = 0; i < gen.chunks.size(); ++i) {
+      StagedChunk& chunk = gen.chunks[i];
+      if (!reuse.empty() && !reuse[i].empty()) {
+        coordinator_.ReuseExisting(
+            chunk.id, static_cast<std::uint32_t>(chunk.data.size()),
+            std::move(reuse[i]));
+        continue;
+      }
+      uploader_.Stage(std::move(chunk));
+    }
+    STDCHK_RETURN_IF_ERROR(FlushPending());
   }
   return OkStatus();
 }
@@ -91,7 +142,7 @@ Status WriteSession::Write(ByteSpan data) {
   stats_.bytes_written += data.size();
   stats_.max_buffered_bytes =
       std::max<std::uint64_t>(stats_.max_buffered_bytes,
-                              planner_.buffered_bytes());
+                              planner_.buffered_bytes() + window_bytes_);
 
   switch (options_.protocol) {
     case WriteProtocol::kCompleteLocal:
@@ -103,16 +154,22 @@ Status WriteSession::Write(ByteSpan data) {
       // pushed (in one batched drain) while the app writes the next.
       stats_.bytes_spilled_local += data.size();
       if (planner_.buffered_bytes() >= options_.increment_size) {
-        STDCHK_RETURN_IF_ERROR(StageSealedChunks(/*final=*/false));
-        return FlushPending();
+        SealAndPost(/*final=*/false);
+        return PushWindow(/*all=*/true);
       }
       return OkStatus();
     case WriteProtocol::kSlidingWindow:
-      // No local I/O at all: every sealed chunk leaves the moment the
-      // window holds one.
+      // No local I/O at all: each sealed chunk is named behind the
+      // application and leaves as soon as its name is ready.
       if (planner_.buffered_bytes() >= options_.chunk_size) {
-        STDCHK_RETURN_IF_ERROR(StageSealedChunks(/*final=*/false));
-        return FlushPending();
+        SealAndPost(/*final=*/false);
+      }
+      STDCHK_RETURN_IF_ERROR(PushWindow(/*all=*/false));
+      // Reserve the stripe while the manager is known to be reachable, as
+      // a synchronous first push would: a manager crash before Close()
+      // must still find a stripe to stash the chunk map on.
+      if (!window_.empty() && !coordinator_.have_reservation()) {
+        return coordinator_.EnsureReservation(window_bytes_);
       }
       return OkStatus();
   }
@@ -122,7 +179,9 @@ Status WriteSession::Write(ByteSpan data) {
 Result<CloseOutcome> WriteSession::Close() {
   if (closed_) return FailedPreconditionError("session already closed");
   if (aborted_) return FailedPreconditionError("session aborted");
-  STDCHK_RETURN_IF_ERROR(StageSealedChunks(/*final=*/true));
+  SealAndPost(/*final=*/true);
+  STDCHK_RETURN_IF_ERROR(PushWindow(/*all=*/true));
+  // Retries a flush that failed earlier with nothing sealed since.
   STDCHK_RETURN_IF_ERROR(FlushPending());
   closed_ = true;
   return coordinator_.Commit();
@@ -130,6 +189,10 @@ Result<CloseOutcome> WriteSession::Close() {
 
 void WriteSession::Abort() {
   aborted_ = true;
+  naming_cancelled_ = true;
+  for (const Generation& gen : window_) HashPool::Shared().Await(gen.naming);
+  window_.clear();
+  window_bytes_ = 0;
   coordinator_.ReleaseReservation();
 }
 

@@ -8,16 +8,24 @@
 //   CommitCoordinator  reservation growth, dedup queries, atomic commit,
 //                      stash-for-recovery when the manager is down
 //
-// The application streams bytes in with Write(); the configured protocol
-// (§IV.B) decides when sealed chunks leave the client: SW pushes as
-// produced, IW flushes per completed increment, CLW spills locally and
-// drains everything at Close(). All three commit identical chunk maps —
-// Close() pushes whatever remains, then commits atomically; until that
-// commit no reader can observe the file (paper §IV.A, session semantics).
+// The application streams bytes in with Write(). Each sealed drain
+// generation enters one naming window: its SHA-1 naming is posted to the
+// shared HashPool without waiting, and named generations are pushed in
+// file order. The protocol (§IV.B) decides when: SW keeps up to W =
+// hash_workers chunk-sizes unpushed (the chunk being filled included) and
+// pushes each generation once named, so a push failure surfaces at the
+// next Write() or at Close(); IW pushes per completed increment; CLW
+// spills locally and drains everything at Close(). All three commit
+// identical chunk maps — Close() pushes whatever remains, then commits
+// atomically; until that commit no reader can observe the file (paper
+// §IV.A, session semantics).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <vector>
 
 #include "client/transport.h"
 #include "client/chunk_planner.h"
@@ -26,6 +34,7 @@
 #include "client/commit_coordinator.h"
 #include "client/placement.h"
 #include "client/write_stats.h"
+#include "common/hash_pool.h"
 #include "common/status.h"
 #include "manager/metadata_manager.h"
 #include "manager/types.h"
@@ -50,8 +59,8 @@ class WriteSession {
   // Flush + atomic commit. Idempotent: second call is an error.
   Result<CloseOutcome> Close();
 
-  // Abandons the write: releases the reservation; pushed chunks become
-  // orphans and are reclaimed by GC.
+  // Abandons the write: cancels naming still in flight, releases the
+  // reservation; pushed chunks become orphans and are reclaimed by GC.
   void Abort();
 
   const WriteStats& stats() const { return stats_; }
@@ -67,9 +76,21 @@ class WriteSession {
   std::uint64_t file_size() const { return coordinator_.file_size(); }
 
  private:
-  // Seals what the planner can release, filters chunks the system already
-  // stores (compare-by-hash dedup), and stages the rest for upload.
-  Status StageSealedChunks(bool final);
+  // A sealed drain generation whose chunks are being named.
+  struct Generation {
+    std::vector<StagedChunk> chunks;
+    std::uint64_t bytes = 0;
+    HashPool::Ticket naming;
+  };
+
+  // Seals what the planner can release and posts the generation's naming
+  // to the shared pool without waiting.
+  void SealAndPost(bool final);
+  // Pushes window generations in file order, one flush each, after
+  // filtering chunks the system already stores (compare-by-hash dedup):
+  // all of them if `all`, else those already named plus as many as it
+  // takes to bring the unpushed bytes under W chunk-sizes.
+  Status PushWindow(bool all);
   // Drains the uploader if anything is pending; one network drain point.
   Status FlushPending();
 
@@ -80,6 +101,15 @@ class WriteSession {
   std::unique_ptr<PlacementPolicy> placement_;
   CommitCoordinator coordinator_;
   ChunkUploader uploader_;
+
+  // The naming window. Every ticket is awaited before the session dies, so
+  // naming tasks may point into the window and at this session.
+  const int naming_workers_;        // W
+  std::deque<Generation> window_;
+  std::uint64_t window_bytes_ = 0;  // sealed, not yet pushed
+  std::atomic<bool> naming_cancelled_{false};
+  std::atomic<int> naming_running_{0};
+  std::atomic<int> naming_peak_{0};
 
   bool closed_ = false;
   bool aborted_ = false;

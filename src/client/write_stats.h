@@ -19,7 +19,8 @@ struct WriteStats {
   std::uint64_t flushes = 0;            // network drain points
   std::uint64_t batched_puts = 0;       // batch RPCs issued by the uploader
   std::uint64_t bytes_spilled_local = 0;  // client-side spill (CLW/IW temp)
-  std::uint64_t max_buffered_bytes = 0;   // high-water client buffering
+  std::uint64_t max_buffered_bytes = 0;   // high-water client buffering:
+                                          // planner + unpushed window
   std::uint64_t inflight_put_peak = 0;  // concurrent batch PUTs in flight
 
   // Decentralized placement (epoch-versioned table):
@@ -35,12 +36,13 @@ struct WriteStats {
   std::uint64_t erasure_encode_ns = 0;      // wall time in GF(256) encode
   std::uint64_t erasure_encoded_chunks = 0;
 
-  // Chunk-naming (SHA-1) accounting from the planner's drains:
-  std::uint64_t hash_ns = 0;            // wall time spent naming chunks
+  // Chunk-naming (SHA-1) accounting from the session's naming window:
+  std::uint64_t hash_ns = 0;            // session-thread time spent naming
+                                        // chunks or blocked on their names
   std::uint64_t hash_chunks = 0;        // chunks named
   std::uint64_t hash_bytes = 0;         // bytes hashed for naming
-  std::uint64_t hash_workers_peak = 0;  // widest fan-out any drain used
-  std::uint64_t hash_parallel_drains = 0;  // drains named on >1 thread
+  std::uint64_t hash_workers_peak = 0;  // most threads seen naming this
+                                        // session's chunks at once
 };
 
 }  // namespace stdchk

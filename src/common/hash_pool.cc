@@ -12,8 +12,8 @@ int HashPool::ResolveThreads(int threads) {
 
 HashPool::HashPool(int threads) {
   if (threads < 0) threads = ResolveThreads(threads);
-  // The caller participates in every batch, so a pool for N-way parallelism
-  // needs N-1 workers (0 = a caller-only pool, always serial).
+  // An awaiting caller joins its own batch, so a pool for N-way
+  // parallelism needs N-1 workers (0 = a caller-only pool, always serial).
   int workers = std::max(0, threads - 1);
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
@@ -52,7 +52,7 @@ bool HashPool::RunShare(Batch& batch) {
       claimed_any = true;
       batch.active.fetch_add(1, std::memory_order_relaxed);
     }
-    (*batch.fn)(i);
+    batch.fn(i);
     if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         batch.count) {
       finished_last = true;
@@ -90,27 +90,34 @@ void HashPool::WorkerLoop() {
     }
     if (RunShare(*batch)) {
       {
-        MutexLock lock(mu_);  // pair with the caller's wait
+        MutexLock lock(mu_);  // pair with Await's wait
       }
       done_cv_.NotifyAll();
     }
   }
 }
 
-int HashPool::ParallelFor(std::size_t n, int max_workers,
-                          const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return 0;
+bool HashPool::Ticket::done() const {
+  return batch_ == nullptr ||
+         batch_->done.load(std::memory_order_acquire) == batch_->count;
+}
+
+HashPool::Ticket HashPool::Post(std::size_t n, int max_workers,
+                                std::function<void(std::size_t)> fn) {
+  Ticket ticket;
+  // The caller joins only at Await, so any index may go to a worker;
+  // max_workers - 1 keeps the caller's slot.
   int helpers = std::min<int>(
       {max_workers - 1, static_cast<int>(workers_.size()),
-       static_cast<int>(std::min<std::size_t>(n - 1, 1u << 30))});
+       static_cast<int>(std::min<std::size_t>(n, 1u << 30))});
   if (helpers <= 0) {
     // Serial path, bit for bit: the pool is never touched.
     for (std::size_t i = 0; i < n; ++i) fn(i);
-    return 1;
+    return ticket;
   }
 
   auto batch = std::make_shared<Batch>();
-  batch->fn = &fn;
+  batch->fn = std::move(fn);
   batch->count = n;
   batch->max_helpers = helpers;
   {
@@ -118,21 +125,26 @@ int HashPool::ParallelFor(std::size_t n, int max_workers,
     batches_.push_back(batch);
   }
   work_cv_.NotifyAll();
+  ticket.batch_ = std::move(batch);
+  return ticket;
+}
 
-  if (RunShare(*batch)) {
+int HashPool::Await(const Ticket& ticket) {
+  if (ticket.batch_ == nullptr) return 1;
+  Batch& batch = *ticket.batch_;
+  if (RunShare(batch)) {
     done_cv_.NotifyAll();
   }
   {
     MutexLock lock(mu_);
-    while (batch->done.load(std::memory_order_acquire) != batch->count) {
+    while (batch.done.load(std::memory_order_acquire) != batch.count) {
       done_cv_.Wait(mu_);
     }
   }
   // Threads that claimed at least one index — a joiner that raced to an
   // already-drained cursor worked nothing and is not counted. done==count
-  // implies every claimer finished, so the read is final. At least the
-  // caller or one worker claimed index 0.
-  return std::max(1, batch->active.load(std::memory_order_acquire));
+  // implies every claimer finished, so the read is final.
+  return std::max(1, batch.active.load(std::memory_order_acquire));
 }
 
 }  // namespace stdchk

@@ -1,14 +1,16 @@
 // Work-stealing thread pool for CPU-bound fan-out, sized for the write
-// path's parallel chunk naming (the paper's "offloading the computationally
+// path's chunk naming (the paper's "offloading the computationally
 // intensive hashing" future work).
 //
-// The shape is a blocking parallel-for, not an async task graph: the caller
-// owns a batch of n independent index-addressed tasks, workers and the
-// caller steal indices one at a time from a shared cursor (so a straggler
-// chunk never serializes the rest behind a static partition), and
-// ParallelFor returns only when every index has run. Results are written to
-// caller-preallocated slots, so output order is the index order no matter
-// which thread ran what — the determinism the committed chunk map relies on.
+// A batch is n independent index-addressed tasks. Post() queues it and
+// returns a Ticket at once; workers steal indices one at a time from a
+// shared cursor (so a straggler never serializes the rest behind a static
+// partition), and Await() blocks until every index has run, running any
+// index no worker has claimed on the awaiting thread — so a 0-worker or
+// saturated pool still finishes. ParallelFor is Await(Post(...)). Results
+// are written to caller-preallocated slots, so output order is the index
+// order no matter which thread ran what — the determinism the committed
+// chunk map relies on.
 #pragma once
 
 #include <atomic>
@@ -24,9 +26,11 @@
 namespace stdchk {
 
 class HashPool {
+  struct Batch;  // one posted batch (below)
+
  public:
   // Pool for `threads`-way parallelism: spawns threads-1 persistent
-  // workers, since the caller's thread always participates (0 = caller
+  // workers, since an awaiting caller joins its own batch (0 = caller
   // only; values < 0 mean hardware concurrency).
   explicit HashPool(int threads);
   ~HashPool();
@@ -46,32 +50,52 @@ class HashPool {
 
   int worker_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Runs fn(0) .. fn(n-1) across up to `max_workers` threads (including the
-  // calling thread) and returns when all have finished. fn must be safe to
-  // call concurrently for distinct indices. max_workers <= 1, n <= 1, or an
-  // empty pool all degrade to a plain serial loop on the caller's thread —
-  // bit-for-bit the serial path, no pool machinery touched.
-  //
-  // Returns the number of threads that actually worked the batch (caller +
-  // workers that joined before it drained) — a measurement, not the
-  // requested fan-out; a busy or slow-waking pool can return 1 even when
-  // more was allowed.
+  // Handle on a posted batch; done() is true (and the tasks' writes are
+  // visible) once every index has run.
+  class Ticket {
+   public:
+    bool done() const;
+
+   private:
+    friend class HashPool;
+    std::shared_ptr<Batch> batch_;  // null: ran inline in Post()
+  };
+
+  // Queues fn(0) .. fn(n-1) to run across up to `max_workers` threads
+  // (including a later awaiting thread) and returns without waiting. fn
+  // must be safe to call concurrently for distinct indices, and what it
+  // captures must outlive the batch: await every ticket. max_workers <= 1,
+  // n == 0 or an empty pool run the batch inline as a plain serial loop on
+  // the calling thread — bit-for-bit the serial path, no pool machinery.
+  Ticket Post(std::size_t n, int max_workers,
+              std::function<void(std::size_t)> fn) EXCLUDES(mu_);
+
+  // Blocks until the ticket's batch has finished, running indices no
+  // worker has claimed on the calling thread. Returns the number of
+  // threads that actually worked the batch (1 for one that ran inline) —
+  // a measurement, not the requested fan-out; a busy or slow-waking pool
+  // can return 1.
+  int Await(const Ticket& ticket) EXCLUDES(mu_);
+
+  // Await(Post(...)); a single index gains nothing from a helper.
   int ParallelFor(std::size_t n, int max_workers,
-                  const std::function<void(std::size_t)>& fn) EXCLUDES(mu_);
+                  const std::function<void(std::size_t)>& fn) EXCLUDES(mu_) {
+    return Await(Post(n, n > 1 ? max_workers : 1, fn));
+  }
 
   // Largest number of threads ParallelFor could use for a batch of n under
   // this pool (caller + joinable workers) — the upper bound on its return.
   int EffectiveWorkers(std::size_t n, int max_workers) const;
 
  private:
-  // One ParallelFor call. Workers claim indices via next.fetch_add (the
-  // stealing cursor); the last finisher signals the caller.
+  // One posted batch. Threads claim indices via next.fetch_add (the
+  // stealing cursor); the last finisher signals awaiting callers.
   struct Batch {
-    const std::function<void(std::size_t)>* fn = nullptr;
+    std::function<void(std::size_t)> fn;
     std::size_t count = 0;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
-    int max_helpers = 0;          // workers allowed besides the caller
+    int max_helpers = 0;          // workers allowed to join
     std::atomic<int> helpers{0};  // workers that joined
     std::atomic<int> active{0};   // threads that ran >= 1 index
   };

@@ -38,9 +38,10 @@ struct WrittenFile {
 };
 
 WrittenFile WriteWithProtocol(WriteProtocol protocol, ByteSpan data,
-                              std::size_t piece) {
+                              std::size_t piece, int hash_workers = 0) {
   ClusterOptions options = BaseOptions();
   options.client.protocol = protocol;
+  options.client.hash_workers = hash_workers;
   StdchkCluster cluster(options);
 
   auto session = cluster.client().CreateFile(Name(1));
@@ -107,8 +108,8 @@ TEST(WriteProtocolEquivalenceTest, StatsExposeProtocolTransferTiming) {
   WrittenFile clw =
       WriteWithProtocol(WriteProtocol::kCompleteLocal, data, 1000);
   WrittenFile iw = WriteWithProtocol(WriteProtocol::kIncremental, data, 1000);
-  WrittenFile sw =
-      WriteWithProtocol(WriteProtocol::kSlidingWindow, data, 1000);
+  WrittenFile sw = WriteWithProtocol(WriteProtocol::kSlidingWindow, data,
+                                     1000, /*hash_workers=*/1);
 
   // CLW: everything spills locally and drains in exactly one batch at
   // close; the client buffers the entire file.
@@ -124,8 +125,9 @@ TEST(WriteProtocolEquivalenceTest, StatsExposeProtocolTransferTiming) {
   EXPECT_GE(iw.stats.max_buffered_bytes, kIncrementSize);
   EXPECT_LT(iw.stats.max_buffered_bytes, kFileSize / 2);
 
-  // SW: no local I/O at all, chunks leave as produced, so the window never
-  // holds much more than one transfer chunk.
+  // SW with hash_workers = 1: no local I/O at all, each chunk is named and
+  // pushed as produced, so the window never holds much more than one
+  // transfer chunk.
   EXPECT_EQ(sw.stats.bytes_spilled_local, 0u);
   EXPECT_GE(sw.stats.flushes, kFileSize / kChunkSize / 2);
   EXPECT_LT(sw.stats.max_buffered_bytes, 2 * kChunkSize);
@@ -135,6 +137,36 @@ TEST(WriteProtocolEquivalenceTest, StatsExposeProtocolTransferTiming) {
   // chunk-at-a-time pushes.
   EXPECT_LT(clw.stats.batched_puts, sw.stats.batched_puts);
   EXPECT_LT(clw.transport_rpcs, sw.transport_rpcs);
+}
+
+TEST(WriteProtocolEquivalenceTest, SlidingWindowBuffersAtMostWChunks) {
+  // With W = hash_workers > 1, SW names chunks behind the application and
+  // keeps up to W chunk-sizes unpushed (the chunk being filled included),
+  // so one Write() can add at most its own size on top.
+  constexpr std::size_t kPiece = 1000;
+  Rng rng(45);
+  Bytes data = rng.RandomBytes(kFileSize);
+  WrittenFile iw =
+      WriteWithProtocol(WriteProtocol::kIncremental, data, kPiece);
+
+  for (int w : {2, 4}) {
+    WrittenFile sw =
+        WriteWithProtocol(WriteProtocol::kSlidingWindow, data, kPiece, w);
+    EXPECT_EQ(sw.stats.bytes_spilled_local, 0u) << "W=" << w;
+    EXPECT_LE(sw.stats.max_buffered_bytes,
+              static_cast<std::uint64_t>(w) * kChunkSize + kPiece)
+        << "W=" << w;
+    // One push per drain generation, whenever its names complete.
+    EXPECT_GE(sw.stats.flushes, kFileSize / kChunkSize / 2) << "W=" << w;
+    EXPECT_LT(iw.stats.flushes, sw.stats.flushes) << "W=" << w;
+    EXPECT_EQ(sw.stats.bytes_transferred, kFileSize) << "W=" << w;
+    // IW's high-water mark is one increment plus a partial write. The
+    // W = 2 window stays well below it; W = 4's bound (four chunks plus
+    // one write) can pass it when every chunk in the window is unnamed.
+    if (w == 2) {
+      EXPECT_LT(sw.stats.max_buffered_bytes, iw.stats.max_buffered_bytes);
+    }
+  }
 }
 
 TEST(WriteProtocolEquivalenceTest, ProtocolsAgreeUnderContentBasedChunking) {
