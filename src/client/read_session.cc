@@ -5,22 +5,23 @@
 #include <optional>
 #include <utility>
 
-#include "erasure/reed_solomon.h"
-
 namespace stdchk {
 
 ReadSession::ReadSession(Transport* transport, VersionRecord record,
                          ClientOptions options)
     : transport_(transport),
       record_(std::move(record)),
-      options_(options) {}
+      options_(options),
+      assembly_workers_(HashPool::ResolveThreads(options_.hash_workers)) {}
 
 ReadSession::~ReadSession() {
-  // Drop replies for anything still in flight so the transport does not
+  // Await every posted assembly (tasks point into gathers_), and drop
+  // replies for anything still in flight so the transport does not
   // accumulate undeliverable completions. Locked for the rank validator's
-  // benefit (session rank sits below the transport's); Clang's analysis
-  // skips destructors.
+  // benefit (session rank sits below the transport's and the pool's);
+  // Clang's analysis skips destructors.
   MutexLock lock(mu_);
+  AwaitAssemblies();
   for (const auto& [handle, fetch] : inflight_) {
     (void)transport_->Cancel(handle);
   }
@@ -30,6 +31,22 @@ std::size_t ReadSession::WindowEnd(std::size_t demand) const {
   std::size_t ahead =
       static_cast<std::size_t>(std::max(0, options_.read_ahead_chunks));
   return std::min(record_.chunk_map.chunks.size() - 1, demand + ahead);
+}
+
+std::size_t ReadSession::ErasureWindowEnd(std::size_t demand) const {
+  // W chunks give every pool worker one to assemble; the budget check keeps
+  // the widened window from holding more than the cache may.
+  const auto& chunks = record_.chunk_map.chunks;
+  const std::uint64_t budget = options_.read_cache_budget_bytes;
+  std::size_t end = WindowEnd(demand);
+  std::uint64_t bytes = 0;
+  for (std::size_t i = demand; i <= end; ++i) bytes += chunks[i].size;
+  while (end + 1 < chunks.size() &&
+         end + 1 - demand < static_cast<std::size_t>(assembly_workers_) &&
+         (budget == 0 || bytes + chunks[end + 1].size <= budget)) {
+    bytes += chunks[++end].size;
+  }
+  return end;
 }
 
 std::size_t ReadSession::MaxInflight() const {
@@ -80,17 +97,24 @@ Status ReadSession::PumpWindow(std::size_t demand) {
   const auto& chunks = record_.chunk_map.chunks;
   if (chunks.empty()) return OkStatus();
   std::size_t window_end = WindowEnd(demand);
+  std::size_t erasure_end = ErasureWindowEnd(demand);
   std::size_t max_inflight = MaxInflight();
+  RetireGathers(demand, erasure_end);
 
   std::map<NodeId, std::vector<std::size_t>> queues;
-  for (std::size_t i = demand; i <= window_end; ++i) {
-    if (inflight_chunks_.size() >= max_inflight) break;
-    if (cache_index_.contains(i) || inflight_chunks_.contains(i)) continue;
-    // Erasure-coded chunks bypass the replica window: ChunkData fetches
-    // their shards on demand (already overlapped across k benefactors).
-    // Exception: chunks ChunkData demoted to the replica path after a
-    // failed shard recovery (mixed-mode fallback).
-    if (chunks[i].erasure_coded() && !replica_fallback_.contains(i)) continue;
+  for (std::size_t i = demand; i <= erasure_end; ++i) {
+    if (cache_index_.contains(i)) continue;
+    // Erasure-coded chunks gather shards instead — except those ChunkData
+    // demoted to the replica path after a failed shard recovery
+    // (mixed-mode fallback).
+    if (chunks[i].erasure_coded() && !replica_fallback_.contains(i)) {
+      GatherShards(i, demand);
+      continue;
+    }
+    if (i > window_end || inflight_chunks_.size() >= max_inflight ||
+        inflight_chunks_.contains(i)) {
+      continue;
+    }
     Result<NodeId> pick = PickReplica(i);
     if (!pick.ok()) {
       // Read-ahead misses stay soft; only the demand chunk is fatal.
@@ -131,24 +155,67 @@ Status ReadSession::PumpWindow(std::size_t demand) {
     }
   }
   stats_.inflight_peak = std::max(stats_.inflight_peak,
-                                  inflight_chunks_.size());
+                                  inflight_chunks_.size() + gathers_.size());
   return OkStatus();
 }
 
-Status ReadSession::HarvestOne(std::size_t demand) {
+std::vector<OpHandle> ReadSession::InflightHandles() const {
   std::vector<OpHandle> handles;
   handles.reserve(inflight_.size());
   for (const auto& [h, fetch] : inflight_) handles.push_back(h);
-  STDCHK_ASSIGN_OR_RETURN(OpCompletion c, transport_->WaitAny(handles));
+  return handles;
+}
+
+Status ReadSession::HarvestOne(std::size_t demand) {
+  STDCHK_ASSIGN_OR_RETURN(OpCompletion c,
+                          transport_->WaitAny(InflightHandles()));
+  Deliver(std::move(c), demand);
+  return OkStatus();
+}
+
+void ReadSession::NoteReply(NodeId node, const Status& status) {
+  contacted_.insert(node);
+  probes_.erase(node);
+  // A node that answers is rehabilitated if a drop had marked it dead; a
+  // node-level failure marks it so later picks skip it.
+  if (status.ok()) {
+    dead_nodes_.erase(node);
+  } else if (status.code() == StatusCode::kUnavailable) {
+    dead_nodes_.insert(node);
+  }
+}
+
+void ReadSession::Deliver(OpCompletion c, std::size_t demand) {
   auto it = inflight_.find(c.handle);
   Fetch fetch = std::move(it->second);
   inflight_.erase(it);
-  for (std::size_t i : fetch.indices) inflight_chunks_.erase(i);
+  NoteReply(fetch.node, c.status);
 
+  if (fetch.shard >= 0) {
+    // The next PumpWindow covers a lost shard or posts the assembly.
+    const std::size_t index = fetch.indices[0];
+    const auto s = static_cast<std::size_t>(fetch.shard);
+    Gather& g = gathers_.at(index);
+    --g.pending;
+    if (c.status.ok()) {
+      g.state[s] = ShardState::kGot;
+      g.got[s] = std::move(c.data);
+      ++g.have;
+      ++stats_.shard_fetches;
+      if (fetch.shard >= record_.chunk_map.chunks[index].ec_k) {
+        ++stats_.parity_shard_fetches;
+      }
+    } else {
+      g.state[s] = ShardState::kFailed;
+      ++stats_.failovers;
+    }
+    return;
+  }
+
+  for (std::size_t i : fetch.indices) inflight_chunks_.erase(i);
   if (c.status.ok()) {
-    // The node answered: rehabilitate it if a drop had marked it dead, and
-    // let its chunks batch again — both marks describe transient states.
-    dead_nodes_.erase(fetch.node);
+    // The node answered: let its chunks batch again — the mark describes a
+    // transient state.
     if (fetch.indices.size() == 1) {
       singles_only_.erase(fetch.indices[0]);
       Insert(fetch.indices[0], std::move(c.data));
@@ -159,15 +226,14 @@ Status ReadSession::HarvestOne(std::size_t demand) {
     }
     stats_.chunks_fetched += fetch.indices.size();
     EvictToBudget(demand);
-    return OkStatus();
+    return;
   }
 
   stats_.failovers += fetch.indices.size();
   for (std::size_t i : fetch.indices) ++fetch_attempts_[i];
   if (c.status.code() == StatusCode::kUnavailable) {
-    // Node-level failure: remember the node so later picks skip it, and
-    // walk every affected chunk on to its next replica.
-    dead_nodes_.insert(fetch.node);
+    // Node-level failure: walk every affected chunk on to its next
+    // replica.
     for (std::size_t i : fetch.indices) failed_replicas_[i].insert(fetch.node);
   } else if (fetch.indices.size() > 1) {
     // A batch rejected wholesale for a chunk-level reason (one chunk
@@ -177,37 +243,36 @@ Status ReadSession::HarvestOne(std::size_t demand) {
   } else {
     failed_replicas_[fetch.indices[0]].insert(fetch.node);
   }
-  return OkStatus();
 }
 
 Result<const BufferSlice*> ReadSession::ChunkData(std::size_t index) {
   const ChunkLocation& loc = record_.chunk_map.chunks[index];
-  if (loc.erasure_coded()) {
-    if (auto it = cache_index_.find(index); it != cache_index_.end()) {
-      return &it->second->data;
-    }
-    Result<BufferSlice> data = FetchErasure(index);
-    if (!data.ok()) {
-      // Mixed-mode escape hatch: a chunk can carry whole replicas besides
-      // its shard group (dedup reuse of a replication-era copy). Only then
-      // is a full-replica fallback even possible — and the EC acceptance
-      // bar is that it never fires for pure erasure files.
-      if (loc.replicas.empty()) return data.status();
-      ++stats_.full_replica_fallbacks;
-      replica_fallback_.insert(index);
-    } else {
-      Insert(index, std::move(data.value()));
-      EvictToBudget(index);
-      return &cache_index_.find(index)->second->data;
-    }
-  }
   while (true) {
     if (auto it = cache_index_.find(index); it != cache_index_.end()) {
       return &it->second->data;
     }
     STDCHK_RETURN_IF_ERROR(PumpWindow(index));
-    if (auto it = cache_index_.find(index); it != cache_index_.end()) {
-      return &it->second->data;
+    auto gather = gathers_.find(index);
+    if (gather != gathers_.end() && gather->second.settled) {
+      // While the demand chunk assembles, deliver replies already in, so
+      // read-ahead assemblies get posted behind it.
+      if (!gather->second.ticket.done() && !inflight_.empty()) {
+        if (std::optional<OpCompletion> c =
+                transport_->Poll(InflightHandles())) {
+          Deliver(std::move(*c), index);
+          continue;
+        }
+      }
+      Status assembled = TakeAssembly(index, index);
+      if (assembled.ok()) continue;  // cached now
+      // Mixed-mode escape hatch: a chunk can carry whole replicas besides
+      // its shard group (dedup reuse of a replication-era copy). Only then
+      // is a full-replica fallback even possible — and the EC acceptance
+      // bar is that it never fires for pure erasure files.
+      if (loc.replicas.empty()) return assembled;
+      ++stats_.full_replica_fallbacks;
+      replica_fallback_.insert(index);
+      continue;
     }
     if (inflight_.empty()) {
       return InternalError("read engine stalled with no fetch in flight");
@@ -216,82 +281,123 @@ Result<const BufferSlice*> ReadSession::ChunkData(std::size_t index) {
   }
 }
 
-Result<BufferSlice> ReadSession::FetchErasure(std::size_t index) {
+void ReadSession::GatherShards(std::size_t index, std::size_t demand) {
   const ChunkLocation& loc = record_.chunk_map.chunks[index];
   const int k = loc.ec_k;
-  const int m = loc.ec_m;
-  const int total = k + m;
-  if (static_cast<int>(loc.shards.size()) != total) {
-    return DataLossError("chunk " + loc.id.ToHex() +
-                         " has a malformed shard group");
-  }
-  const std::size_t shard_size = ErasureShardSize(loc.size, k);
-
-  std::vector<std::optional<BufferSlice>> got(
-      static_cast<std::size_t>(total));
-  int have = 0;
-  // Zero-length tail data shards (chunk smaller than (k-1) shard widths)
-  // are virtually present: nothing stored, nothing to fetch.
-  for (int s = 0; s < k; ++s) {
-    if (ErasureShardLength(loc.size, k, s) == 0) {
-      got[static_cast<std::size_t>(s)] = BufferSlice();
-      ++have;
-    }
-  }
-
-  // One GET per shard — group members sit on distinct benefactors by
-  // construction, so the k data fetches overlap across k nodes. Parity
-  // shards are requested only to cover failures, one per loss.
-  std::map<OpHandle, int> pending;
-  auto submit = [&](int s) -> bool {
-    const ShardLocation& sl = loc.shards[static_cast<std::size_t>(s)];
-    if (sl.node == kInvalidNode) return false;  // departed, awaiting repair
-    OpHandle h = transport_->Submit(ChunkOp::Get(sl.node, sl.id));
-    pending.emplace(h, s);
-    ++stats_.single_gets;
-    return true;
+  const auto total = static_cast<std::size_t>(k + loc.ec_m);
+  auto [it, fresh] = gathers_.try_emplace(index);
+  Gather& g = it->second;
+  if (g.settled) return;
+  auto fail = [&g](Status status) {
+    g.out.status = std::move(status);
+    g.settled = true;
   };
-  int next_extra = k;
-  for (int s = 0; s < k; ++s) {
-    if (got[static_cast<std::size_t>(s)].has_value()) continue;
-    if (!submit(s)) {
-      while (next_extra < total && !submit(next_extra)) ++next_extra;
-      if (next_extra < total) ++next_extra;
+  if (fresh) {
+    g.state.assign(total, ShardState::kIdle);
+    g.got.resize(total);
+    if (loc.shards.size() != total) {
+      return fail(DataLossError("chunk " + loc.id.ToHex() +
+                                " has a malformed shard group"));
+    }
+    // Zero-length tail data shards (chunk smaller than (k-1) shard widths)
+    // are virtually present: nothing stored, nothing to fetch.
+    for (int s = 0; s < k; ++s) {
+      if (ErasureShardLength(loc.size, k, s) == 0) {
+        g.state[static_cast<std::size_t>(s)] = ShardState::kGot;
+        g.got[static_cast<std::size_t>(s)] = BufferSlice();
+        ++g.have;
+      }
     }
   }
+  if (!RequestShards(index, g)) {
+    CancelShardGets(index);
+    return fail(DataLossError("only " + std::to_string(g.have) +
+                              " of the required " + std::to_string(k) +
+                              " shards of chunk " + loc.id.ToHex() +
+                              " are reachable"));
+  }
+  if (g.have < k || (index != demand && assembling_ >= assembly_workers_)) {
+    return;
+  }
 
-  while (have < k && !pending.empty()) {
-    std::vector<OpHandle> handles;
-    handles.reserve(pending.size());
-    for (const auto& [h, s] : pending) handles.push_back(h);
-    STDCHK_ASSIGN_OR_RETURN(OpCompletion c, transport_->WaitAny(handles));
-    int s = pending.at(c.handle);
-    pending.erase(c.handle);
-    const NodeId node = loc.shards[static_cast<std::size_t>(s)].node;
-    if (c.status.ok()) {
-      dead_nodes_.erase(node);
-      got[static_cast<std::size_t>(s)] = std::move(c.data);
-      ++have;
-      ++stats_.shard_fetches;
-      if (s >= k) ++stats_.parity_shard_fetches;
+  // A missing data shard needs the codec: one per (k, m), built once and
+  // shared read-only by every assembly task.
+  const ReedSolomon* rs = nullptr;
+  if (std::any_of(g.got.begin(), g.got.begin() + k,
+                  [](const auto& shard) { return !shard.has_value(); })) {
+    auto codec = codecs_.find({k, loc.ec_m});
+    if (codec == codecs_.end()) {
+      Result<ReedSolomon> created = ReedSolomon::Create(k, loc.ec_m);
+      if (!created.ok()) return fail(created.status());
+      codec = codecs_.emplace(std::pair{k, loc.ec_m},
+                              std::move(created).value()).first;
+    }
+    rs = &codec->second;
+  }
+  g.out.buffer.reserve(loc.size);
+  g.settled = true;
+  g.posted = true;
+  ++assembling_;
+  const std::vector<std::optional<BufferSlice>>* got = &g.got;
+  Assembly* out = &g.out;
+  g.ticket = HashPool::Shared().Post(
+      1, assembly_workers_,
+      [&loc, got, rs, out](std::size_t) { Assemble(loc, *got, rs, out); });
+}
+
+bool ReadSession::RequestShards(std::size_t index, Gather& g) {
+  const ChunkLocation& loc = record_.chunk_map.chunks[index];
+  const std::size_t total = g.state.size();
+  int need = loc.ec_k;  // shards still to ask for
+  int live = 0;         // candidates on holders not observed dead
+  for (std::size_t s = 0; s < total; ++s) {
+    ShardState st = g.state[s];
+    NodeId node = loc.shards[s].node;
+    if (st == ShardState::kGot || st == ShardState::kPending) {
+      --need;
+    } else if (st != ShardState::kFailed && node != kInvalidNode &&
+               !dead_nodes_.contains(node)) {
+      ++live;
+    }
+  }
+  for (std::size_t s = 0; s < total && need > 0; ++s) {
+    ShardState& st = g.state[s];
+    NodeId node = loc.shards[s].node;
+    // kInvalidNode: the holder departed and the shard awaits repair.
+    if (st == ShardState::kGot || st == ShardState::kPending ||
+        st == ShardState::kFailed || node == kInvalidNode) {
       continue;
     }
-    ++stats_.failovers;
-    if (c.status.code() == StatusCode::kUnavailable) dead_nodes_.insert(node);
-    // Walk on to the next untried shard to cover this loss.
-    while (next_extra < total && !submit(next_extra)) ++next_extra;
-    if (next_extra < total) ++next_extra;
+    if (dead_nodes_.contains(node)) {
+      if (live >= need) {
+        if (st != ShardState::kSkipped) ++stats_.dead_replica_skips;
+        st = ShardState::kSkipped;
+        continue;
+      }
+      // Too few live holders left: the dead mark may have been a transient
+      // drop, so retry it.
+    } else {
+      --live;
+    }
+    --need;
+    if (probes_.contains(node)) continue;  // held for the first reply
+    if (!contacted_.contains(node)) probes_.insert(node);
+    OpHandle h = transport_->Submit(ChunkOp::Get(node, loc.shards[s].id));
+    inflight_.emplace(h, Fetch{{index}, node, static_cast<int>(s)});
+    ++stats_.single_gets;
+    ++g.pending;
+    st = ShardState::kPending;
   }
-  if (have < k) {
-    return DataLossError("only " + std::to_string(have) + " of the required " +
-                         std::to_string(k) + " shards of chunk " +
-                         loc.id.ToHex() + " are reachable");
-  }
+  return need == 0;
+}
 
-  // Reassemble: direct data shards copy into place, missing ones decode
-  // straight into their region of the chunk buffer (prefix recovery — no
-  // scratch shard buffers).
-  Bytes assembled(loc.size, 0);
+void ReadSession::Assemble(const ChunkLocation& loc,
+                           const std::vector<std::optional<BufferSlice>>& got,
+                           const ReedSolomon* rs, Assembly* out) {
+  const int k = loc.ec_k;
+  const std::size_t shard_size = ErasureShardSize(loc.size, k);
+  Bytes assembled = std::move(out->buffer);
+  assembled.resize(loc.size);
   std::vector<int> want;
   std::vector<MutableByteSpan> outs;
   for (int s = 0; s < k; ++s) {
@@ -302,8 +408,10 @@ Result<BufferSlice> ReadSession::FetchErasure(std::size_t index) {
     const auto& shard = got[static_cast<std::size_t>(s)];
     if (shard.has_value()) {
       if (shard->size() != len) {
-        return DataLossError("shard " + std::to_string(s) + " of chunk " +
-                             loc.id.ToHex() + " has the wrong stored size");
+        out->status = DataLossError("shard " + std::to_string(s) +
+                                    " of chunk " + loc.id.ToHex() +
+                                    " has the wrong stored size");
+        return;
       }
       std::memcpy(region.data(), shard->data(), len);
     } else {
@@ -315,26 +423,75 @@ Result<BufferSlice> ReadSession::FetchErasure(std::size_t index) {
   // buffers into one contiguous chunk); account it honestly.
   copy_stats::RecordCopy(loc.size);
   if (!want.empty()) {
-    STDCHK_ASSIGN_OR_RETURN(ReedSolomon rs, ReedSolomon::Create(k, m));
-    std::vector<std::optional<ByteSpan>> views(static_cast<std::size_t>(total));
-    for (int s = 0; s < total; ++s) {
-      const auto& shard = got[static_cast<std::size_t>(s)];
-      if (shard.has_value()) views[static_cast<std::size_t>(s)] = shard->span();
+    std::vector<std::optional<ByteSpan>> views(got.size());
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      const auto& shard = got[s];
+      if (shard.has_value()) views[s] = shard->span();
     }
-    STDCHK_RETURN_IF_ERROR(rs.RecoverShards(views, shard_size, want, outs));
-    ++stats_.reconstructions;
+    out->status = rs->RecoverShards(views, shard_size, want, outs);
+    if (!out->status.ok()) return;
+    out->rebuilt = true;
   }
 
   // Content-based addressability doubles as the integrity check: the
   // reassembled (possibly reconstructed) chunk must hash to its address.
-  BufferSlice out(BufferRef::Take(std::move(assembled)));
-  ChunkId actual = ChunkId::For(out.span());
+  BufferSlice data(BufferRef::Take(std::move(assembled)));
+  ChunkId actual = ChunkId::For(data.span());
   if (actual != loc.id) {
-    return DataLossError("chunk " + loc.id.ToHex() +
-                         " failed integrity verification after reassembly");
+    out->status = DataLossError("chunk " + loc.id.ToHex() +
+                                " failed integrity verification after "
+                                "reassembly");
+    return;
   }
-  out.StampDigest(actual.digest);
-  return out;
+  data.StampDigest(actual.digest);
+  out->data = std::move(data);
+}
+
+Status ReadSession::TakeAssembly(std::size_t index, std::size_t demand) {
+  auto it = gathers_.find(index);
+  Gather& g = it->second;
+  if (g.posted) {
+    HashPool::Shared().Await(g.ticket);
+    --assembling_;
+  }
+  if (g.out.rebuilt) ++stats_.reconstructions;
+  Status status = std::move(g.out.status);
+  if (status.ok()) {
+    Insert(index, std::move(g.out.data));
+    EvictToBudget(demand);
+  }
+  gathers_.erase(it);
+  return status;
+}
+
+void ReadSession::CancelShardGets(std::size_t index) {
+  for (auto it = inflight_.begin(); it != inflight_.end();) {
+    if (it->second.shard < 0 || it->second.indices[0] != index) {
+      ++it;
+      continue;
+    }
+    (void)transport_->Cancel(it->first);
+    probes_.erase(it->second.node);
+    it = inflight_.erase(it);
+  }
+}
+
+void ReadSession::RetireGathers(std::size_t demand, std::size_t end) {
+  for (auto it = gathers_.begin(); it != gathers_.end();) {
+    const std::size_t index = (it++)->first;
+    if (index >= demand && index <= end) continue;
+    if (gathers_.at(index).settled) {
+      // Assembled work is not wasted: a verified chunk lands in the cache.
+      (void)TakeAssembly(index, demand);
+    } else {
+      CancelShardGets(index);
+      gathers_.erase(index);
+    }
+  }
+}
+
+void ReadSession::AwaitAssemblies() {
+  for (const auto& [index, g] : gathers_) HashPool::Shared().Await(g.ticket);
 }
 
 void ReadSession::Insert(std::size_t index, BufferSlice data) {
@@ -398,7 +555,13 @@ Result<std::size_t> ReadSession::ReadAt(std::uint64_t offset,
     if (pos >= c.file_offset + c.size) continue;
 
     bool was_cached = cache_index_.contains(i);
-    STDCHK_ASSIGN_OR_RETURN(const BufferSlice* data, ChunkData(i));
+    Result<const BufferSlice*> chunk = ChunkData(i);
+    if (!chunk.ok()) {
+      // Leave no assembly running behind an error.
+      AwaitAssemblies();
+      return chunk.status();
+    }
+    const BufferSlice* data = chunk.value();
     if (was_cached) ++stats_.cache_hits;
 
     std::uint64_t chunk_off = pos - c.file_offset;

@@ -12,18 +12,30 @@
 // as a last resort), and fails over per chunk. The read-ahead cache is
 // bounded by ClientOptions::read_cache_budget_bytes; evictions show up in
 // ReadStats.
+//
+// Erasure-coded chunks ride the same window, widened to W =
+// ClientOptions::hash_workers chunks when that is larger (as far as the
+// cache budget holds it): the engine gathers k shards for each, and once a
+// chunk has them its reassembly — copy, Reed-Solomon decode, content-address
+// check — is posted to the shared HashPool, at most W at a time, while the
+// session thread goes on gathering. A chunk's assembly is awaited, counted
+// and cached only when the chunk is demanded.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <map>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "client/client_options.h"
 #include "client/transport.h"
 #include "common/annotated_mutex.h"
+#include "common/hash_pool.h"
 #include "common/status.h"
+#include "erasure/reed_solomon.h"
 #include "manager/metadata_manager.h"
 
 namespace stdchk {
@@ -37,7 +49,8 @@ struct ReadStats {
   std::uint64_t single_gets = 0;  // GetChunk ops issued
   std::uint64_t batch_gets = 0;   // GetChunkBatch ops issued
   std::uint64_t failovers = 0;    // chunk fetches retried after a failure
-  std::uint64_t dead_replica_skips = 0;  // replicas skipped as observed-dead
+  std::uint64_t dead_replica_skips = 0;  // replicas or shards skipped: their
+                                         // holder was observed dead
   std::size_t inflight_peak = 0;  // engine's overlap high watermark (chunks)
 
   // Erasure-coded chunks (ChunkLocation::erasure_coded()):
@@ -93,9 +106,45 @@ class ReadSession {
   struct Fetch {
     std::vector<std::size_t> indices;
     NodeId node = kInvalidNode;
+    int shard = -1;  // >= 0: a GET of this shard of EC chunk indices[0]
+  };
+
+  enum class ShardState : std::uint8_t {
+    kIdle,
+    kSkipped,  // passed over: its holder was observed dead
+    kPending,  // GET in flight
+    kGot,
+    kFailed,
+  };
+  // An assembly task's slots: the only memory the task writes.
+  struct Assembly {
+    // Reserved on the session thread, so chunk memory comes from its
+    // allocator arena: buffers allocated by pool workers would park freed
+    // chunks in per-thread arenas and raise the process's peak RSS.
+    Bytes buffer;
+    Status status;
+    BufferSlice data;
+    bool rebuilt = false;  // decoded from parity
+  };
+  // An erasure-coded chunk in the window: its shard gather, then its
+  // assembly. Map nodes stay put, so a posted task may point into one; from
+  // post until the ticket is awaited the task writes only `out` and the
+  // session thread only `ticket`.
+  struct Gather {
+    std::vector<ShardState> state;
+    std::vector<std::optional<BufferSlice>> got;  // k+m slots
+    int have = 0;
+    int pending = 0;
+    bool settled = false;  // assembly posted, or the gather failed
+    bool posted = false;
+    HashPool::Ticket ticket;
+    Assembly out;
   };
 
   std::size_t WindowEnd(std::size_t demand) const;
+  // Last position of the erasure-coded window: WindowEnd, widened to W
+  // chunks as far as their bytes fit the cache budget.
+  std::size_t ErasureWindowEnd(std::size_t demand) const;
   std::size_t MaxInflight() const;
   // Selects a replica for chunk `index`: round-robin over its replica set,
   // skipping replicas that already failed for this chunk and nodes observed
@@ -104,26 +153,56 @@ class ReadSession {
   // cleared and re-swept under a bounded per-chunk failover budget).
   Result<NodeId> PickReplica(std::size_t index) REQUIRES(mu_);
   // Fills the in-flight window for demand position `demand`, coalescing
-  // same-replica chunks into batch GETs. Errors only if the demand chunk
-  // itself has no fetchable replica; read-ahead failures stay soft.
+  // same-replica chunks into batch GETs and gathering the shards of
+  // erasure-coded ones; retires gathers the window has left. Errors only
+  // if the demand chunk itself has no fetchable replica; read-ahead
+  // failures stay soft.
   Status PumpWindow(std::size_t demand) REQUIRES(mu_);
-  // Delivers one completion: caches payloads, or records the failure and
-  // releases its chunks for failover resubmission. Blocks in the transport
+  // Blocks for one completion and delivers it. Blocks in the transport
   // while holding mu_ — legal because kClientReadSession ranks below
   // kTransport, and intended: the window state must not shift under the
   // wait.
   Status HarvestOne(std::size_t demand) REQUIRES(mu_);
+  // Delivers one completion: caches payloads or files shards, or records
+  // the failure and releases its chunks for failover resubmission.
+  void Deliver(OpCompletion c, std::size_t demand) REQUIRES(mu_);
+  // Liveness bookkeeping for a reply from `node`.
+  void NoteReply(NodeId node, const Status& status) REQUIRES(mu_);
+  std::vector<OpHandle> InflightHandles() const REQUIRES(mu_);
   // Blocks until chunk `index` is cached (pumping + harvesting the window).
   // The returned pointer aliases the cache; it stays valid only while mu_
   // is held (ReadAt copies out before unlocking).
   Result<const BufferSlice*> ChunkData(std::size_t index) REQUIRES(mu_);
-  // Fetches and reassembles an erasure-coded chunk: concurrent GETs for its
-  // k data shards (each on its own benefactor — the striped-read
-  // parallelism comes free), pulling parity shards only when a data shard's
-  // holder fails, and reconstructing from any k survivors. The reassembled
-  // chunk must verify against the whole-chunk content address. Bypasses the
-  // replica window machinery; EC chunks are not read ahead.
-  Result<BufferSlice> FetchErasure(std::size_t index) REQUIRES(mu_);
+  // Gathers erasure-coded chunk `index`: concurrent GETs for its k data
+  // shards (each on its own benefactor — the striped-read parallelism comes
+  // free), parity only to cover a shard whose holder is dead or failed.
+  // Once k shards are in, posts the reassembly (see Assemble in the .cc) —
+  // the demand chunk always, read-ahead while fewer than W are posted.
+  void GatherShards(std::size_t index, std::size_t demand) REQUIRES(mu_);
+  // Requests shards until k are in hand or asked for, in shard order
+  // (data first). A holder observed dead is passed over while an untried
+  // shard on another holder can cover it, and retried only as a last
+  // resort; a holder not yet heard from gets one request at a time, so a
+  // dead node costs one failed RPC per session. Returns false when the
+  // chunk can no longer gather k shards.
+  bool RequestShards(std::size_t index, Gather& g) REQUIRES(mu_);
+  // The assembly task: reassembles a chunk from k gathered shards — data
+  // shards copy into place, missing ones decode straight into their region
+  // of the chunk buffer, no scratch shard buffers — and checks the result
+  // against the chunk's content address. `rs` is null when no data shard
+  // is missing. Reads only its inputs and writes only `out`, so it runs on
+  // any pool thread.
+  static void Assemble(const ChunkLocation& loc,
+                       const std::vector<std::optional<BufferSlice>>& got,
+                       const ReedSolomon* rs, Assembly* out);
+  // Awaits gather `index`'s assembly, counts it and caches a verified
+  // chunk; drops the gather and returns the assembly's status.
+  Status TakeAssembly(std::size_t index, std::size_t demand) REQUIRES(mu_);
+  // Cancels the shard GETs still in flight for gather `index`.
+  void CancelShardGets(std::size_t index) REQUIRES(mu_);
+  // Cancels, awaits or takes every gather outside [demand, end].
+  void RetireGathers(std::size_t demand, std::size_t end) REQUIRES(mu_);
+  void AwaitAssemblies() REQUIRES(mu_);
 
   void Insert(std::size_t index, BufferSlice data) REQUIRES(mu_);
   void EvictToBudget(std::size_t demand) REQUIRES(mu_);
@@ -131,6 +210,7 @@ class ReadSession {
   Transport* transport_;
   VersionRecord record_;
   ClientOptions options_;
+  const int assembly_workers_;  // W
 
   // Session lock: one ReadAt (window pump + harvest + cache) runs at a
   // time, and the stats accessors snapshot under it. Ranks below the
@@ -149,6 +229,10 @@ class ReadSession {
 
   // Nodes observed unreachable this session.
   std::set<NodeId> dead_nodes_ GUARDED_BY(mu_);
+  // Nodes whose liveness this session has seen (a reply or a failed RPC),
+  // and those not yet seen that have a shard GET out.
+  std::set<NodeId> contacted_ GUARDED_BY(mu_);
+  std::set<NodeId> probes_ GUARDED_BY(mu_);
   std::map<std::size_t, std::set<NodeId>> failed_replicas_
       GUARDED_BY(mu_);  // per chunk
   std::map<std::size_t, std::size_t> fetch_attempts_
@@ -159,6 +243,12 @@ class ReadSession {
   // EC chunks demoted to the whole-replica path after shard recovery
   // failed (possible only for mixed-mode chunks that also carry replicas).
   std::set<std::size_t> replica_fallback_ GUARDED_BY(mu_);
+
+  // The erasure-coded window. Every posted ticket is awaited before the
+  // session dies; a task reads the record, a codec and its gather's shards.
+  std::map<std::size_t, Gather> gathers_ GUARDED_BY(mu_);
+  int assembling_ GUARDED_BY(mu_) = 0;  // posted, not yet taken
+  std::map<std::pair<int, int>, ReedSolomon> codecs_ GUARDED_BY(mu_);
 };
 
 }  // namespace stdchk

@@ -44,14 +44,9 @@ int HashPool::EffectiveWorkers(std::size_t n, int max_workers) const {
 
 bool HashPool::RunShare(Batch& batch) {
   bool finished_last = false;
-  bool claimed_any = false;
   for (;;) {
     std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= batch.count) break;
-    if (!claimed_any) {
-      claimed_any = true;
-      batch.active.fetch_add(1, std::memory_order_relaxed);
-    }
     batch.fn(i);
     if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         batch.count) {
@@ -129,8 +124,8 @@ HashPool::Ticket HashPool::Post(std::size_t n, int max_workers,
   return ticket;
 }
 
-int HashPool::Await(const Ticket& ticket) {
-  if (ticket.batch_ == nullptr) return 1;
+void HashPool::Await(const Ticket& ticket) {
+  if (ticket.batch_ == nullptr) return;
   Batch& batch = *ticket.batch_;
   if (RunShare(batch)) {
     done_cv_.NotifyAll();
@@ -141,10 +136,6 @@ int HashPool::Await(const Ticket& ticket) {
       done_cv_.Wait(mu_);
     }
   }
-  // Threads that claimed at least one index — a joiner that raced to an
-  // already-drained cursor worked nothing and is not counted. done==count
-  // implies every claimer finished, so the read is final.
-  return std::max(1, batch.active.load(std::memory_order_acquire));
 }
 
 }  // namespace stdchk

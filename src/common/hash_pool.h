@@ -71,20 +71,17 @@ class HashPool {
               std::function<void(std::size_t)> fn) EXCLUDES(mu_);
 
   // Blocks until the ticket's batch has finished, running indices no
-  // worker has claimed on the calling thread. Returns the number of
-  // threads that actually worked the batch (1 for one that ran inline) —
-  // a measurement, not the requested fan-out; a busy or slow-waking pool
-  // can return 1.
-  int Await(const Ticket& ticket) EXCLUDES(mu_);
+  // worker has claimed on the calling thread.
+  void Await(const Ticket& ticket) EXCLUDES(mu_);
 
   // Await(Post(...)); a single index gains nothing from a helper.
-  int ParallelFor(std::size_t n, int max_workers,
-                  const std::function<void(std::size_t)>& fn) EXCLUDES(mu_) {
-    return Await(Post(n, n > 1 ? max_workers : 1, fn));
+  void ParallelFor(std::size_t n, int max_workers,
+                   const std::function<void(std::size_t)>& fn) EXCLUDES(mu_) {
+    Await(Post(n, n > 1 ? max_workers : 1, fn));
   }
 
   // Largest number of threads ParallelFor could use for a batch of n under
-  // this pool (caller + joinable workers) — the upper bound on its return.
+  // this pool (caller + joinable workers).
   int EffectiveWorkers(std::size_t n, int max_workers) const;
 
  private:
@@ -97,7 +94,6 @@ class HashPool {
     std::atomic<std::size_t> done{0};
     int max_helpers = 0;          // workers allowed to join
     std::atomic<int> helpers{0};  // workers that joined
-    std::atomic<int> active{0};   // threads that ran >= 1 index
   };
 
   void WorkerLoop() EXCLUDES(mu_);

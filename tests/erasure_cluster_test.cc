@@ -1,12 +1,20 @@
 // End-to-end tests of the erasure-coded write/read path: striping k+m
 // shards across distinct benefactors at write time, reconstructing from any
 // k survivors at read time, k-survivor accounting in the manager (repair,
-// loss, GC) and snapshot round-tripping of shard groups.
+// loss, GC) and snapshot round-tripping of shard groups. The pipelined read
+// side: identical bytes and counters for every assembly width, dead-holder
+// skipping, random access, integrity failures surfacing only on demand,
+// and teardown with assemblies in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <set>
+#include <thread>
 
+#include "client/read_session.h"
+#include "common/hash_pool.h"
 #include "common/rng.h"
 #include "core/cluster.h"
 
@@ -269,6 +277,270 @@ TEST_F(ErasureClusterTest, MixedModeMapsDedupAgainstReplicatedChunks) {
   auto read_back = ec_writer->ReadFile(Name(2));
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(read_back.value(), both);
+}
+
+// ---- Pipelined erasure-coded reads ------------------------------------------
+
+// Crashes `count` benefactors holding shards of the file's first chunk.
+void CrashShardHolders(StdchkCluster& cluster, const VersionRecord& record,
+                       int count) {
+  const ChunkLocation& first = record.chunk_map.chunks.front();
+  for (int d = 0; d < count; ++d) {
+    NodeId node = first.shards[static_cast<std::size_t>(d)].node;
+    for (std::size_t i = 0; i < cluster.benefactor_count(); ++i) {
+      if (cluster.benefactor(i).id() == node) {
+        ASSERT_TRUE(cluster.CrashBenefactor(i).ok());
+      }
+    }
+  }
+}
+
+TEST_F(ErasureClusterTest, ReadsMatchForEveryAssemblyWidth) {
+  for (int dead = 0; dead <= kM; ++dead) {
+    ClusterOptions options;
+    options.benefactor_count = 9;
+    options.client.chunk_size = 4096;
+    options.client.erasure = {kK, kM};
+    StdchkCluster cluster(options);
+    Bytes data = rng_.RandomBytes(12 * 4096 + 1500);
+    ASSERT_TRUE(cluster.client().WriteFile(Name(1), data).ok());
+    auto record = cluster.manager().GetVersion(Name(1));
+    ASSERT_TRUE(record.ok());
+    CrashShardHolders(cluster, record.value(), dead);
+
+    std::map<int, ReadStats> by_width;
+    for (int workers : {1, 2, 4}) {
+      ClientOptions o = cluster.client().options();
+      o.hash_workers = workers;
+      auto reader = cluster.MakeClient(o)->OpenFile(Name(1));
+      ASSERT_TRUE(reader.ok());
+      auto got = reader.value()->ReadAll();
+      ASSERT_TRUE(got.ok()) << "dead " << dead << " W " << workers << ": "
+                            << got.status();
+      EXPECT_EQ(got.value(), data) << "dead " << dead << " W " << workers;
+      by_width[workers] = reader.value()->stats();
+    }
+
+    const ReadStats& serial = by_width[1];
+    for (const auto& [workers, rs] : by_width) {
+      SCOPED_TRACE("dead " + std::to_string(dead) + " W " +
+                   std::to_string(workers));
+      EXPECT_EQ(rs.reconstructions, serial.reconstructions);
+      EXPECT_EQ(rs.shard_fetches, serial.shard_fetches);
+      EXPECT_EQ(rs.parity_shard_fetches, serial.parity_shard_fetches);
+      // Each dead-holder shard in a chunk's path is either skipped or its
+      // holder's one failed first contact, whatever the window.
+      EXPECT_EQ(rs.dead_replica_skips + rs.failovers,
+                serial.dead_replica_skips + serial.failovers);
+      EXPECT_EQ(rs.full_replica_fallbacks, 0u);
+    }
+    if (dead > 0) {
+      EXPECT_GT(serial.reconstructions, 0u);
+    } else {
+      EXPECT_EQ(serial.reconstructions, 0u);
+      EXPECT_EQ(serial.parity_shard_fetches, 0u);
+    }
+  }
+}
+
+TEST_F(ErasureClusterTest, DeadShardHoldersCostOneFailedRpcEach) {
+  Bytes data = rng_.RandomBytes(16 * 4096);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  CrashShardHolders(*cluster_, Record(Name(1)), kM);
+
+  for (int workers : {1, 4}) {
+    ClientOptions o = cluster_->client().options();
+    o.hash_workers = workers;
+    auto reader = cluster_->MakeClient(o)->OpenFile(Name(1));
+    ASSERT_TRUE(reader.ok());
+    auto got = reader.value()->ReadAll();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got.value(), data);
+
+    ReadStats rs = reader.value()->stats();
+    // First contact with each crashed node fails; every later shard on it
+    // is skipped instead of paying another doomed GET.
+    EXPECT_LE(rs.failovers, static_cast<std::uint64_t>(kM)) << "W " << workers;
+    EXPECT_GT(rs.dead_replica_skips, 0u) << "W " << workers;
+    EXPECT_EQ(rs.single_gets, rs.shard_fetches + rs.failovers)
+        << "W " << workers;
+    EXPECT_GT(rs.parity_shard_fetches, 0u);
+  }
+}
+
+TEST_F(ErasureClusterTest, RandomOffsetReadAtMatchesSource) {
+  Bytes data = rng_.RandomBytes(20 * 4096 + 321);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  CrashShardHolders(*cluster_, Record(Name(1)), 1);
+
+  for (int workers : {1, 4}) {
+    ClientOptions o = cluster_->client().options();
+    o.hash_workers = workers;
+    auto reader = cluster_->MakeClient(o)->OpenFile(Name(1));
+    ASSERT_TRUE(reader.ok());
+    Rng jump(7);
+    for (int i = 0; i < 60; ++i) {
+      std::uint64_t offset = jump.NextBelow(data.size());
+      std::size_t want = 1 + static_cast<std::size_t>(jump.NextBelow(9000));
+      Bytes buf(want);
+      auto n = reader.value()->ReadAt(offset, MutableByteSpan(buf));
+      ASSERT_TRUE(n.ok()) << n.status();
+      std::size_t expected = std::min<std::size_t>(want, data.size() - offset);
+      ASSERT_EQ(n.value(), expected);
+      EXPECT_TRUE(std::equal(
+          buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(expected),
+          data.begin() + static_cast<std::ptrdiff_t>(offset)))
+          << "W " << workers << " offset " << offset;
+    }
+  }
+}
+
+// Flips a byte in every delivered GET payload of one shard id, and counts
+// the GETs submitted for it.
+class TamperingTransport final : public Transport {
+ public:
+  TamperingTransport(Transport* inner, ChunkId target)
+      : inner_(inner), target_(target) {}
+
+  int target_gets() const { return target_gets_; }
+
+  OpHandle Submit(ChunkOp op) override {
+    bool hit = op.type == ChunkOpType::kGetChunk && op.id == target_;
+    OpHandle h = inner_->Submit(std::move(op));
+    if (hit) {
+      ++target_gets_;
+      tampered_.insert(h);
+    }
+    return h;
+  }
+  Result<OpCompletion> Wait(OpHandle handle) override {
+    return Tamper(inner_->Wait(handle));
+  }
+  Result<OpCompletion> WaitAny(std::span<const OpHandle> handles) override {
+    return Tamper(inner_->WaitAny(handles));
+  }
+  std::optional<OpCompletion> Poll(
+      std::span<const OpHandle> handles) override {
+    std::optional<OpCompletion> c = inner_->Poll(handles);
+    if (c.has_value()) c = Tamper(std::move(*c)).value();
+    return c;
+  }
+  bool Cancel(OpHandle handle) override { return inner_->Cancel(handle); }
+  std::size_t InFlight() const override { return inner_->InFlight(); }
+
+ private:
+  Result<OpCompletion> Tamper(Result<OpCompletion> c) {
+    if (!c.ok() || !tampered_.contains(c.value().handle) ||
+        !c.value().status.ok() || c.value().data.empty()) {
+      return c;
+    }
+    Bytes evil(c.value().data.span().begin(), c.value().data.span().end());
+    evil[0] ^= 0x5A;
+    c.value().data = BufferSlice(BufferRef::Take(std::move(evil)));
+    return c;
+  }
+
+  Transport* inner_;
+  ChunkId target_;
+  int target_gets_ = 0;
+  std::set<OpHandle> tampered_;
+};
+
+TEST_F(ErasureClusterTest, TamperedShardFailsOnlyWhenItsChunkIsDemanded) {
+  constexpr std::size_t kChunk = 4096;
+  Bytes data = rng_.RandomBytes(8 * kChunk);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  VersionRecord record = Record(Name(1));
+  const std::size_t bad = 2;
+
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("W " + std::to_string(workers));
+    TamperingTransport tamper(&cluster_->transport(),
+                              record.chunk_map.chunks[bad].shards[0].id);
+    ClientOptions o = cluster_->client().options();
+    o.hash_workers = workers;
+    o.read_ahead_chunks = 2;
+    ReadSession session(&tamper, record, o);
+
+    // Chunks 0 and 1 read clean, while the bad chunk was already fetched
+    // (and, with W > 1, assembled) as read-ahead.
+    Bytes head(2 * kChunk);
+    auto n = session.ReadAt(0, MutableByteSpan(head));
+    ASSERT_TRUE(n.ok()) << n.status();
+    ASSERT_EQ(n.value(), head.size());
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), data.begin()));
+    EXPECT_GE(tamper.target_gets(), 1);
+
+    // Demanding it fails integrity verification, and not one byte of the
+    // bad chunk reaches the caller.
+    Bytes buf(kChunk, 0xEE);
+    auto bad_read = session.ReadAt(bad * kChunk, MutableByteSpan(buf));
+    ASSERT_FALSE(bad_read.ok());
+    EXPECT_EQ(bad_read.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(buf, Bytes(kChunk, 0xEE));
+
+    // The session reads on past it.
+    Bytes tail(data.size() - (bad + 1) * kChunk);
+    auto rest = session.ReadAt((bad + 1) * kChunk, MutableByteSpan(tail));
+    ASSERT_TRUE(rest.ok()) << rest.status();
+    EXPECT_TRUE(std::equal(
+        tail.begin(), tail.end(),
+        data.begin() + static_cast<std::ptrdiff_t>((bad + 1) * kChunk)));
+  }
+}
+
+// Occupies every worker of `pool` until destroyed, so batches posted
+// meanwhile stay unclaimed until their owner awaits them.
+class PoolBlocker {
+ public:
+  explicit PoolBlocker(HashPool& pool)
+      : pool_(pool), workers_(pool.worker_threads()) {
+    ticket_ = pool_.Post(static_cast<std::size_t>(workers_), workers_ + 1,
+                         [this](std::size_t) {
+                           started_.fetch_add(1);
+                           while (!release_.load()) std::this_thread::yield();
+                         });
+    while (started_.load() < workers_) std::this_thread::yield();
+  }
+  ~PoolBlocker() {
+    release_.store(true);
+    pool_.Await(ticket_);
+  }
+
+ private:
+  HashPool& pool_;
+  const int workers_;
+  std::atomic<int> started_{0};
+  std::atomic<bool> release_{false};
+  HashPool::Ticket ticket_;
+};
+
+TEST_F(ErasureClusterTest, SessionDestroyedWithAssembliesInFlight) {
+  Bytes data = rng_.RandomBytes(12 * 4096);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  CrashShardHolders(*cluster_, Record(Name(1)), 1);
+  ClientOptions o = cluster_->client().options();
+  o.hash_workers = 4;
+  auto client = cluster_->MakeClient(o);
+
+  // Workers busy: the read-ahead assemblies stay queued until the
+  // destructor awaits them.
+  {
+    PoolBlocker blocker(HashPool::Shared());
+    auto reader = client->OpenFile(Name(1));
+    ASSERT_TRUE(reader.ok());
+    Bytes head(4096);
+    ASSERT_TRUE(reader.value()->ReadAt(0, MutableByteSpan(head)).ok());
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), data.begin()));
+    EXPECT_GT(reader.value()->stats().inflight_peak, 1u);
+  }
+  // Workers free: the destructor races assemblies already running.
+  for (int round = 0; round < 10; ++round) {
+    auto reader = client->OpenFile(Name(1));
+    ASSERT_TRUE(reader.ok());
+    Bytes head(4096);
+    ASSERT_TRUE(reader.value()->ReadAt(0, MutableByteSpan(head)).ok());
+  }
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -42,22 +44,28 @@ TEST(HashPoolTest, SerialWhenMaxWorkersIsOne) {
   // max_workers=1 must run entirely on the calling thread, in order.
   std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  int used = pool.ParallelFor(100, 1, [&](std::size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
+  std::set<std::thread::id> threads;
+  pool.ParallelFor(100, 1, [&](std::size_t i) {
+    threads.insert(std::this_thread::get_id());
     order.push_back(i);  // safe: single-threaded by contract
   });
-  EXPECT_EQ(used, 1);
+  EXPECT_EQ(threads, std::set<std::thread::id>{caller});
   std::vector<std::size_t> expected(100);
   std::iota(expected.begin(), expected.end(), 0u);
   EXPECT_EQ(order, expected);
 }
 
-TEST(HashPoolTest, ReportsActualEngagementWithinBounds) {
+TEST(HashPoolTest, FanOutStaysWithinBounds) {
   HashPool pool(4);
   for (int round = 0; round < 20; ++round) {
-    int used = pool.ParallelFor(64, 8, [](std::size_t) {});
-    EXPECT_GE(used, 1);
-    EXPECT_LE(used, 4);  // caller + 3 workers
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    pool.ParallelFor(64, 8, [&](std::size_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(threads.size(), 1u);
+    EXPECT_LE(threads.size(), 4u);  // caller + 3 workers
   }
 }
 
@@ -134,12 +142,14 @@ TEST(HashPoolTest, PostOnZeroWorkerPoolRunsInline) {
   HashPool pool(0);
   std::thread::id caller = std::this_thread::get_id();
   std::vector<int> hits(20, 0);
+  std::set<std::thread::id> threads;
   HashPool::Ticket ticket = pool.Post(20, 8, [&](std::size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
+    threads.insert(std::this_thread::get_id());
     ++hits[i];
   });
   EXPECT_TRUE(ticket.done());  // ran before Post returned
-  EXPECT_EQ(pool.Await(ticket), 1);
+  pool.Await(ticket);
+  EXPECT_EQ(threads, std::set<std::thread::id>{caller});
   EXPECT_EQ(hits, std::vector<int>(20, 1));
   EXPECT_TRUE(HashPool::Ticket().done());
   EXPECT_TRUE(pool.Post(0, 8, [](std::size_t) { ADD_FAILURE(); }).done());
@@ -149,26 +159,39 @@ TEST(HashPoolTest, AwaitOnSaturatedPoolRunsUnclaimedIndicesOnCaller) {
   HashPool pool(3);  // two workers
   std::thread::id caller = std::this_thread::get_id();
   std::vector<std::atomic<int>> hits(50);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
   {
     PoolBlocker blocker(pool);
     HashPool::Ticket ticket = pool.Post(50, 3, [&](std::size_t i) {
-      EXPECT_EQ(std::this_thread::get_id(), caller);
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+      }
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_FALSE(ticket.done());  // every worker is busy
     // Would deadlock if Await only waited for workers.
-    EXPECT_EQ(pool.Await(ticket), 1);
+    pool.Await(ticket);
     EXPECT_TRUE(ticket.done());
   }
+  EXPECT_EQ(threads, std::set<std::thread::id>{caller});
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(HashPoolTest, PostedBatchesRunWithoutAnAwaiter) {
   HashPool pool(4);
+  std::thread::id caller = std::this_thread::get_id();
   std::vector<std::atomic<int>> hits(64);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
   std::vector<HashPool::Ticket> tickets;
   for (std::size_t b = 0; b < 8; ++b) {
-    tickets.push_back(pool.Post(8, 4, [&hits, b](std::size_t i) {
+    tickets.push_back(pool.Post(8, 4, [&, b](std::size_t i) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+      }
       hits[b * 8 + i].fetch_add(1, std::memory_order_relaxed);
     }));
   }
@@ -176,7 +199,9 @@ TEST(HashPoolTest, PostedBatchesRunWithoutAnAwaiter) {
   for (const HashPool::Ticket& t : tickets) {
     while (!t.done()) std::this_thread::yield();
   }
-  for (const HashPool::Ticket& t : tickets) EXPECT_GE(pool.Await(t), 1);
+  for (const HashPool::Ticket& t : tickets) pool.Await(t);
+  EXPECT_FALSE(threads.empty());
+  EXPECT_FALSE(threads.contains(caller));
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
