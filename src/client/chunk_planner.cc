@@ -41,10 +41,9 @@ std::vector<StagedChunk> ChunkPlanner::Drain(bool final) {
   out.reserve(sealed_ends_.size());
   std::uint64_t start = buffer_start_;
   for (std::uint64_t end : sealed_ends_) {
-    out.push_back(StagedChunk{
-        ChunkId{}, BufferSlice(backing,
-                               static_cast<std::size_t>(start - buffer_start_),
-                               static_cast<std::size_t>(end - start))});
+    out.emplace_back().data =
+        BufferSlice(backing, static_cast<std::size_t>(start - buffer_start_),
+                    static_cast<std::size_t>(end - start));
     start = end;
   }
   buffer_start_ = sealed_ends_.back();

@@ -30,9 +30,16 @@ namespace stdchk {
 // the generation alive for as long as any of its chunks is still pending —
 // no per-chunk copies, so a CLW close-drain of a large image stays at ~1x
 // the image in memory.
+//
+// In an erasure-coded session the window also fills `shards` — the k
+// data-shard views of `data` and the m parity shards — and each shard's
+// content address, so the uploader only places them and a retried flush
+// re-sends the same shards instead of re-encoding.
 struct StagedChunk {
   ChunkId id;
   BufferSlice data;
+  std::vector<BufferSlice> shards;
+  std::vector<ChunkId> shard_ids;
 };
 
 class ChunkPlanner {

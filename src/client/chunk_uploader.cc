@@ -1,12 +1,10 @@
 #include "client/chunk_uploader.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <set>
 #include <utility>
 
-#include "common/hash_pool.h"
 #include "common/log.h"
 
 namespace stdchk {
@@ -193,19 +191,13 @@ Status ChunkUploader::DrainRounds(std::vector<Unit>& units, int needed) {
 Status ChunkUploader::FlushErasure() {
   const int k = options_.erasure.k;
   const int m = options_.erasure.m;
-  if (!rs_.has_value()) {
-    STDCHK_ASSIGN_OR_RETURN(ReedSolomon rs, ReedSolomon::Create(k, m));
-    rs_.emplace(std::move(rs));
-  }
 
   // The reservation must cover the parity overhead, not just the payload:
   // reserved bytes are what the manager holds against the stripe while the
   // write is open.
   std::uint64_t shard_bytes = 0;
   for (const Pending& p : pending_) {
-    const std::uint32_t size = static_cast<std::uint32_t>(p.chunk.data.size());
-    shard_bytes += size + static_cast<std::uint64_t>(m) *
-                              ErasureShardSize(size, k);
+    for (const BufferSlice& shard : p.chunk.shards) shard_bytes += shard.size();
   }
   STDCHK_RETURN_IF_ERROR(coordinator_->EnsureReservation(shard_bytes));
   if (static_cast<int>(coordinator_->stripe().size()) < k + m) {
@@ -222,59 +214,19 @@ Status ChunkUploader::FlushErasure() {
   std::vector<Unit> units;
   units.reserve(pending_.size() * group_size);
   std::vector<std::set<NodeId>> group_nodes(pending_.size());
-
-  HashPool& pool = HashPool::Shared();
-  const int workers = HashPool::ResolveThreads(options_.hash_workers);
-
-  for (Pending& p : pending_) {
-    const std::uint32_t size = static_cast<std::uint32_t>(p.chunk.data.size());
-    const std::size_t shard_size = ErasureShardSize(size, k);
-    std::vector<BufferSlice> slices(static_cast<std::size_t>(k + m));
-    std::vector<ByteSpan> views(static_cast<std::size_t>(k));
-    for (int j = 0; j < k; ++j) {
-      // Data shards are zero-copy views of the staged chunk, stored
-      // unpadded: the tail shard is short and the codec zero-pads it
-      // virtually.
-      std::size_t len = ErasureShardLength(size, k, j);
-      std::size_t off = std::min(static_cast<std::size_t>(j) * shard_size,
-                                 p.chunk.data.size());
-      slices[static_cast<std::size_t>(j)] = p.chunk.data.Subslice(off, len);
-      views[static_cast<std::size_t>(j)] =
-          slices[static_cast<std::size_t>(j)].span();
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    STDCHK_ASSIGN_OR_RETURN(
-        std::vector<Bytes> parity,
-        rs_->EncodeParity(views, shard_size, &pool, workers));
-    stats_->erasure_encode_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    for (int i = 0; i < m; ++i) {
-      slices[static_cast<std::size_t>(k + i)] =
-          BufferSlice(BufferRef::Take(std::move(parity[static_cast<std::size_t>(i)])));
-    }
-    // Content-address every shard (benefactor admission verifies against
-    // it); naming fans across the shared pool under the same deterministic
-    // slot-per-index rule as the planner's drain naming.
-    std::vector<ChunkId> ids(slices.size());
-    pool.ParallelFor(slices.size(), workers, [&](std::size_t i) {
-      ids[i] = ChunkId::For(slices[i].span());
-    });
-    ++stats_->erasure_encoded_chunks;
-
+  for (const Pending& p : pending_) {
     std::vector<NodeId> walk = placement_->PlanChunk(coordinator_->stripe());
     placement_->OnChunkPlaced(coordinator_->stripe());
-    for (int s = 0; s < k + m; ++s) {
+    for (std::size_t s = 0; s < group_size; ++s) {
       Unit u;
-      u.put.id = ids[static_cast<std::size_t>(s)];
-      u.put.data = slices[static_cast<std::size_t>(s)];
+      u.put.id = p.chunk.shard_ids[s];
+      u.put.data = p.chunk.shards[s];
       if (options_.stamp_chunk_digests) u.put.data.StampDigest(u.put.id.digest);
       u.put.group = p.chunk.id;
-      u.put.shard_index = s;
+      u.put.shard_index = static_cast<int>(s);
       // Rotate the group's walk by the shard index so the group fans out
       // across the stripe instead of queueing on its head.
-      std::size_t rot = static_cast<std::size_t>(s) % walk.size();
+      std::size_t rot = s % walk.size();
       u.candidates.assign(walk.begin() + static_cast<std::ptrdiff_t>(rot),
                           walk.end());
       u.candidates.insert(u.candidates.end(), walk.begin(),

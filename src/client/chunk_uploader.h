@@ -10,19 +10,18 @@
 // wholesale: the dead stripe member is swapped for a fresh donor
 // (CommitCoordinator::ReplaceStripeMember) and the affected chunks walk on
 // to their next placement candidates.
-// In erasure-coded mode (ClientOptions::erasure) a flush instead encodes
-// each pending chunk into k data-shard views + m parity shards (GF(256)
-// SIMD kernels, parity rows fanned across the shared HashPool), names every
-// shard by its own content hash, and stripes the k+m shards across distinct
-// stripe members — same per-node batching and dead-member failover, but the
-// placement unit is the shard and "distinct" is enforced per group (one
-// death must cost at most one shard). All k+m shards must land or the flush
-// fails: parity is the durability, so there is no optimistic shortfall.
+// In erasure-coded mode (ClientOptions::erasure) a flush does no encoding:
+// each staged chunk arrives with its k data-shard views, m parity shards
+// and shard names already computed by the write session's naming window.
+// The flush stripes the k+m shards across distinct stripe members — same
+// per-node batching and dead-member failover, but the placement unit is
+// the shard and "distinct" is enforced per group (one death must cost at
+// most one shard). All k+m shards must land or the flush fails: parity is
+// the durability, so there is no optimistic shortfall.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -33,7 +32,6 @@
 #include "client/transport.h"
 #include "client/write_stats.h"
 #include "common/status.h"
-#include "erasure/reed_solomon.h"
 
 namespace stdchk {
 
@@ -80,10 +78,11 @@ class ChunkUploader {
   // an error only if the transport does; shortfalls are left for the
   // caller to judge.
   Status DrainRounds(std::vector<Unit>& units, int needed);
-  // The erasure-coded drain: encode, name, and stripe shards. All-or-
-  // nothing per call — a failed flush settles nothing and a retry re-encodes
-  // (shard puts are content-addressed, so re-sending an already-stored
-  // shard is an idempotent no-op at the benefactor).
+  // The erasure-coded drain: reserve, place and stripe the staged shards.
+  // All-or-nothing per call — a failed flush settles nothing and a retry
+  // re-sends the same shards (shard puts are content-addressed, so
+  // re-sending an already-stored shard is an idempotent no-op at the
+  // benefactor).
   Status FlushErasure();
 
   Transport* transport_;
@@ -94,8 +93,6 @@ class ChunkUploader {
 
   std::deque<Pending> pending_;
   std::uint64_t pending_bytes_ = 0;
-  // Codec for ClientOptions::erasure, built on the first erasure flush.
-  std::optional<ReedSolomon> rs_;
 };
 
 }  // namespace stdchk

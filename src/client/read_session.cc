@@ -522,9 +522,10 @@ void ReadSession::EvictToBudget(std::size_t demand) {
   }
 }
 
-Result<std::size_t> ReadSession::ReadAt(std::uint64_t offset,
-                                        MutableByteSpan out) {
-  if (offset >= record_.size || out.empty()) return std::size_t{0};
+template <typename Sink>
+Result<std::size_t> ReadSession::ReadChunks(std::uint64_t offset,
+                                            std::size_t max, Sink&& sink) {
+  if (offset >= record_.size || max == 0) return std::size_t{0};
 
   // Serialize the whole call: the window, cache and failover state are one
   // coherent machine, and ChunkData's returned pointer aliases the cache.
@@ -549,7 +550,7 @@ Result<std::size_t> ReadSession::ReadAt(std::uint64_t offset,
   }
 
   std::uint64_t pos = offset;
-  for (std::size_t i = lo; i < chunks.size() && written < out.size(); ++i) {
+  for (std::size_t i = lo; i < chunks.size() && written < max; ++i) {
     const ChunkLocation& c = chunks[i];
     if (pos < c.file_offset) break;  // hole (should not happen)
     if (pos >= c.file_offset + c.size) continue;
@@ -566,25 +567,37 @@ Result<std::size_t> ReadSession::ReadAt(std::uint64_t offset,
 
     std::uint64_t chunk_off = pos - c.file_offset;
     std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(c.size - chunk_off, out.size() - written));
-    std::memcpy(out.data() + written, data->data() + chunk_off, n);
+        std::min<std::uint64_t>(c.size - chunk_off, max - written));
+    sink(data->span().subspan(static_cast<std::size_t>(chunk_off), n));
     written += n;
     pos += n;
   }
   return written;
 }
 
+Result<std::size_t> ReadSession::ReadAt(std::uint64_t offset,
+                                        MutableByteSpan out) {
+  std::uint8_t* dst = out.data();
+  return ReadChunks(offset, out.size(), [&dst](ByteSpan bytes) {
+    std::memcpy(dst, bytes.data(), bytes.size());
+    dst += bytes.size();
+  });
+}
+
 Result<Bytes> ReadSession::ReadAll() {
-  Bytes out(record_.size);
-  std::uint64_t offset = 0;
-  while (offset < record_.size) {
+  // Appended chunk by chunk: sizing the vector up front would zero-fill
+  // the whole image only to copy over it.
+  Bytes out;
+  out.reserve(record_.size);
+  while (out.size() < record_.size) {
     STDCHK_ASSIGN_OR_RETURN(
         std::size_t n,
-        ReadAt(offset, MutableByteSpan(out.data() + offset,
-                                       out.size() - offset)));
+        ReadChunks(out.size(), record_.size - out.size(),
+                   [&out](ByteSpan bytes) {
+                     out.insert(out.end(), bytes.begin(), bytes.end());
+                   }));
     if (n == 0) return DataLossError("short read at offset " +
-                                     std::to_string(offset));
-    offset += n;
+                                     std::to_string(out.size()));
   }
   return out;
 }

@@ -141,6 +141,15 @@ class ReadSession {
     Assembly out;
   };
 
+  // The chunk walk behind ReadAt and ReadAll: hands the bytes of every
+  // chunk covering [offset, offset + max) to `sink(ByteSpan)` in file
+  // order — the cached chunk's own bytes, valid only during the call — and
+  // returns how many it handed over (0 at EOF). One call, one failover
+  // budget; an error awaits every assembly before it returns.
+  template <typename Sink>
+  Result<std::size_t> ReadChunks(std::uint64_t offset, std::size_t max,
+                                 Sink&& sink) EXCLUDES(mu_);
+
   std::size_t WindowEnd(std::size_t demand) const;
   // Last position of the erasure-coded window: WindowEnd, widened to W
   // chunks as far as their bytes fit the cache budget.

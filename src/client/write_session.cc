@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <utility>
 
 namespace stdchk {
@@ -54,37 +55,96 @@ WriteSession::~WriteSession() {
   if (!closed_ && !aborted_) Abort();
 }
 
-void WriteSession::SealAndPost(bool final) {
-  Generation gen;
-  gen.chunks = planner_.Drain(final);
-  if (gen.chunks.empty()) return;
+Status WriteSession::SealAndPost(bool final) {
+  const ErasureCoded ec = options_.erasure;
+  if (ec.enabled() && !codec_.has_value()) {
+    STDCHK_ASSIGN_OR_RETURN(ReedSolomon codec,
+                            ReedSolomon::Create(ec.k, ec.m));
+    codec_.emplace(std::move(codec));
+  }
+  std::vector<StagedChunk> chunks = planner_.Drain(final);
+  if (chunks.empty()) return OkStatus();
+  // The generation is built in place: deque growth at the back never moves
+  // it, and it leaves the window only after its ticket is awaited.
+  Generation& gen = window_.emplace_back();
+  gen.chunks = std::move(chunks);
   for (const StagedChunk& chunk : gen.chunks) gen.bytes += chunk.data.size();
   stats_.hash_chunks += gen.chunks.size();
   stats_.hash_bytes += gen.bytes;
+  if (ec.enabled()) StageShards(gen);
 
   // Slices are immutable views of one frozen generation, so naming them is
   // embarrassingly parallel; each task fills its own slot of a vector whose
   // storage stays put in the window, and generations are pushed in order,
   // so the committed chunk map is the same for any W.
-  StagedChunk* slots = gen.chunks.data();
-  const bool stamp = options_.stamp_chunk_digests;
+  const std::size_t per_chunk =
+      ec.enabled() ? static_cast<std::size_t>(1 + ec.k + ec.m) : 1;
+  Generation* posted = &gen;
   auto t0 = std::chrono::steady_clock::now();
   gen.naming = HashPool::Shared().Post(
-      gen.chunks.size(), naming_workers_, [this, slots, stamp](std::size_t i) {
+      gen.chunks.size() * per_chunk, naming_workers_,
+      [this, posted, per_chunk](std::size_t i) {
         if (naming_cancelled_) return;
         int now = ++naming_running_;
         for (int peak = naming_peak_; now > peak &&
              !naming_peak_.compare_exchange_weak(peak, now);) {
         }
-        StagedChunk& chunk = slots[i];
-        chunk.id = ChunkId::For(chunk.data.span());
-        // Downstream verifies compare the stamp instead of re-hashing.
-        if (stamp) chunk.data.StampDigest(chunk.id.digest);
+        RunNamingTask(*posted, i / per_chunk, i % per_chunk);
         --naming_running_;
       });
   stats_.hash_ns += NanosSince(t0);  // W = 1 names inline, inside Post
   window_bytes_ += gen.bytes;
-  window_.push_back(std::move(gen));
+  return OkStatus();
+}
+
+void WriteSession::StageShards(Generation& gen) {
+  const int k = options_.erasure.k;
+  const int m = options_.erasure.m;
+  gen.data_views.reserve(gen.chunks.size() * static_cast<std::size_t>(k));
+  gen.parity.reserve(gen.chunks.size() * static_cast<std::size_t>(m));
+  for (StagedChunk& chunk : gen.chunks) {
+    const std::uint32_t size = static_cast<std::uint32_t>(chunk.data.size());
+    const std::size_t shard_size = ErasureShardSize(size, k);
+    chunk.shards.reserve(static_cast<std::size_t>(k + m));
+    chunk.shard_ids.resize(static_cast<std::size_t>(k + m));
+    for (int j = 0; j < k; ++j) {
+      // Data shards are zero-copy views of the chunk, stored unpadded: the
+      // tail shard is short and the codec zero-pads it virtually.
+      std::size_t off = std::min(static_cast<std::size_t>(j) * shard_size,
+                                 chunk.data.size());
+      chunk.shards.push_back(
+          chunk.data.Subslice(off, ErasureShardLength(size, k, j)));
+      gen.data_views.push_back(chunk.shards.back().span());
+    }
+    // Parity is allocated here rather than by the encode tasks: buffers
+    // allocated on pool workers land in glibc per-thread arenas and raise
+    // peak RSS.
+    for (int i = 0; i < m; ++i) gen.parity.emplace_back(shard_size, 0);
+  }
+}
+
+void WriteSession::RunNamingTask(Generation& gen, std::size_t c,
+                                 std::size_t task) {
+  StagedChunk& chunk = gen.chunks[c];
+  if (task == 0) {
+    chunk.id = ChunkId::For(chunk.data.span());
+    // Downstream verifies compare the stamp instead of re-hashing.
+    if (options_.stamp_chunk_digests) chunk.data.StampDigest(chunk.id.digest);
+    return;
+  }
+  const std::size_t k = static_cast<std::size_t>(options_.erasure.k);
+  const std::size_t m = static_cast<std::size_t>(options_.erasure.m);
+  const std::size_t shard = task - 1;
+  if (shard < k) {
+    chunk.shard_ids[shard] = ChunkId::For(chunk.shards[shard].span());
+    return;
+  }
+  Bytes& parity = gen.parity[c * m + (shard - k)];
+  auto t0 = std::chrono::steady_clock::now();
+  codec_->EncodeParityRow(std::span(gen.data_views).subspan(c * k, k),
+                          static_cast<int>(shard - k), MutableByteSpan(parity));
+  encode_ns_ += NanosSince(t0);
+  chunk.shard_ids[shard] = ChunkId::For(parity);
 }
 
 Status WriteSession::PushWindow(bool all) {
@@ -93,15 +153,27 @@ Status WriteSession::PushWindow(bool all) {
   while (!window_.empty()) {
     bool full = window_bytes_ + planner_.buffered_bytes() >= limit;
     if (!all && !full && !window_.front().naming.done()) break;
+    auto t0 = std::chrono::steady_clock::now();
+    HashPool::Shared().Await(window_.front().naming);
+    stats_.hash_ns += NanosSince(t0);
     Generation gen = std::move(window_.front());
     window_.pop_front();
     window_bytes_ -= gen.bytes;
-    auto t0 = std::chrono::steady_clock::now();
-    HashPool::Shared().Await(gen.naming);
-    stats_.hash_ns += NanosSince(t0);
     stats_.hash_workers_peak = std::max<std::uint64_t>(
         stats_.hash_workers_peak, static_cast<std::uint64_t>(naming_peak_));
     stats_.chunks_total += gen.chunks.size();
+    if (options_.erasure.enabled()) {
+      // The parity buffers are final: they become the chunks' shards.
+      const std::size_t m = static_cast<std::size_t>(options_.erasure.m);
+      for (std::size_t c = 0; c < gen.chunks.size(); ++c) {
+        for (std::size_t i = 0; i < m; ++i) {
+          gen.chunks[c].shards.emplace_back(
+              BufferRef::Take(std::move(gen.parity[c * m + i])));
+        }
+      }
+      stats_.erasure_encoded_chunks += gen.chunks.size();
+      stats_.erasure_encode_ns = encode_ns_;
+    }
 
     // One compare-by-hash round trip covers the whole generation.
     // Best-effort: nothing between leaving the window and Stage() may
@@ -154,7 +226,7 @@ Status WriteSession::Write(ByteSpan data) {
       // pushed (in one batched drain) while the app writes the next.
       stats_.bytes_spilled_local += data.size();
       if (planner_.buffered_bytes() >= options_.increment_size) {
-        SealAndPost(/*final=*/false);
+        STDCHK_RETURN_IF_ERROR(SealAndPost(/*final=*/false));
         return PushWindow(/*all=*/true);
       }
       return OkStatus();
@@ -162,7 +234,7 @@ Status WriteSession::Write(ByteSpan data) {
       // No local I/O at all: each sealed chunk is named behind the
       // application and leaves as soon as its name is ready.
       if (planner_.buffered_bytes() >= options_.chunk_size) {
-        SealAndPost(/*final=*/false);
+        STDCHK_RETURN_IF_ERROR(SealAndPost(/*final=*/false));
       }
       STDCHK_RETURN_IF_ERROR(PushWindow(/*all=*/false));
       // Reserve the stripe while the manager is known to be reachable, as
@@ -179,7 +251,7 @@ Status WriteSession::Write(ByteSpan data) {
 Result<CloseOutcome> WriteSession::Close() {
   if (closed_) return FailedPreconditionError("session already closed");
   if (aborted_) return FailedPreconditionError("session aborted");
-  SealAndPost(/*final=*/true);
+  STDCHK_RETURN_IF_ERROR(SealAndPost(/*final=*/true));
   STDCHK_RETURN_IF_ERROR(PushWindow(/*all=*/true));
   // Retries a flush that failed earlier with nothing sealed since.
   STDCHK_RETURN_IF_ERROR(FlushPending());

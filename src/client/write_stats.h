@@ -33,16 +33,21 @@ struct WriteStats {
   std::uint64_t parity_shards_written = 0;  // parity shard puts that landed
   std::uint64_t data_shards_written = 0;    // data shard puts that landed
   std::uint64_t parity_bytes_written = 0;   // redundancy bytes shipped
-  std::uint64_t erasure_encode_ns = 0;      // wall time in GF(256) encode
-  std::uint64_t erasure_encoded_chunks = 0;
+  // Encode runs as naming-window tasks on any thread, so this is encode-
+  // task time summed over all threads, not wall time; the part that ran on
+  // the session thread is also inside hash_ns.
+  std::uint64_t erasure_encode_ns = 0;
+  std::uint64_t erasure_encoded_chunks = 0;  // once per chunk leaving the
+                                             // window, not per flush retry
 
   // Chunk-naming (SHA-1) accounting from the session's naming window:
-  std::uint64_t hash_ns = 0;            // session-thread time spent naming
-                                        // chunks or blocked on their names
+  std::uint64_t hash_ns = 0;            // session-thread time running or
+                                        // awaiting window tasks (naming,
+                                        // and shard encode when EC)
   std::uint64_t hash_chunks = 0;        // chunks named
   std::uint64_t hash_bytes = 0;         // bytes hashed for naming
-  std::uint64_t hash_workers_peak = 0;  // most threads seen naming this
-                                        // session's chunks at once
+  std::uint64_t hash_workers_peak = 0;  // most threads seen running this
+                                        // session's window tasks at once
 };
 
 }  // namespace stdchk

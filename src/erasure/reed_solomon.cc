@@ -1,9 +1,9 @@
 #include "erasure/reed_solomon.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/buffer.h"
-#include "common/hash_pool.h"
 #include "erasure/gf256.h"
 
 namespace stdchk {
@@ -96,8 +96,7 @@ Result<std::vector<Bytes>> ReedSolomon::EncodeParity(
 }
 
 Result<std::vector<Bytes>> ReedSolomon::EncodeParity(
-    const std::vector<ByteSpan>& data_shards, std::size_t shard_size,
-    HashPool* pool, int max_workers) const {
+    const std::vector<ByteSpan>& data_shards, std::size_t shard_size) const {
   if (static_cast<int>(data_shards.size()) != k_) {
     return InvalidArgumentError("expected exactly k data shards");
   }
@@ -109,23 +108,27 @@ Result<std::vector<Bytes>> ReedSolomon::EncodeParity(
 
   std::vector<Bytes> parity(static_cast<std::size_t>(m_),
                             Bytes(shard_size, 0));
-  auto encode_row = [&](std::size_t i) {
-    const std::vector<std::uint8_t>& row = Row(k_ + static_cast<int>(i));
-    for (int j = 0; j < k_; ++j) {
-      ByteSpan shard = data_shards[static_cast<std::size_t>(j)];
-      // Shorter views are virtually zero-padded: the tail contributes
-      // nothing, so the accumulate simply stops at the view's end.
-      if (shard.empty()) continue;
-      gf256::MulAccum(row[static_cast<std::size_t>(j)], shard.data(),
-                      parity[i].data(), shard.size());
-    }
-  };
-  if (pool != nullptr && m_ > 1 && max_workers != 1) {
-    pool->ParallelFor(static_cast<std::size_t>(m_), max_workers, encode_row);
-  } else {
-    for (int i = 0; i < m_; ++i) encode_row(static_cast<std::size_t>(i));
+  for (int i = 0; i < m_; ++i) {
+    EncodeParityRow(data_shards, i,
+                    MutableByteSpan(parity[static_cast<std::size_t>(i)]));
   }
   return parity;
+}
+
+void ReedSolomon::EncodeParityRow(std::span<const ByteSpan> data_shards,
+                                  int row, MutableByteSpan out) const {
+  assert(static_cast<int>(data_shards.size()) == k_);
+  assert(row >= 0 && row < m_);
+  const std::vector<std::uint8_t>& coeffs = Row(k_ + row);
+  for (int j = 0; j < k_; ++j) {
+    ByteSpan shard = data_shards[static_cast<std::size_t>(j)];
+    assert(shard.size() <= out.size());
+    // Shorter views are virtually zero-padded: the tail contributes
+    // nothing, so the accumulate simply stops at the view's end.
+    if (shard.empty()) continue;
+    gf256::MulAccum(coeffs[static_cast<std::size_t>(j)], shard.data(),
+                    out.data(), shard.size());
+  }
 }
 
 std::vector<Bytes> ReedSolomon::EncodeBlock(ByteSpan data) const {

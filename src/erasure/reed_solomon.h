@@ -8,23 +8,23 @@
 // traffic; with the SIMD GF(256) kernels that tradeoff is measured, not
 // asserted.
 //
-// The span-based entry points (EncodeParity over ByteSpans, RecoverShards)
-// are the data-path API: callers encode straight out of BufferSlice views
-// and decode straight into caller buffers, with no staging copies. Views
-// shorter than the nominal shard size are treated as zero-padded to it —
-// the stored tail shard of a block whose size is not a multiple of k —
-// so the virtual padding never materializes either.
+// The span-based entry points (EncodeParity over ByteSpans and its
+// per-row EncodeParityRow, RecoverShards) are the data-path API: callers
+// encode straight out of BufferSlice views and decode straight into
+// caller buffers, with no staging copies. Views shorter than the nominal
+// shard size are treated as zero-padded to it — the stored tail shard of a
+// block whose size is not a multiple of k — so the virtual padding never
+// materializes either.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
 
 namespace stdchk {
-
-class HashPool;
 
 class ReedSolomon {
  public:
@@ -46,17 +46,22 @@ class ReedSolomon {
   Result<std::vector<Bytes>> EncodeParity(
       const std::vector<Bytes>& data_shards) const;
 
-  // Span-based parity: encodes in place from k data-shard views, each at
-  // most `shard_size` bytes (shorter views are virtually zero-padded — no
-  // copy, the missing tail contributes nothing). Returns m parity shards of
-  // exactly `shard_size` bytes. When `pool` is non-null the m parity rows
-  // fan out across it (bounded by `max_workers`, caller participating);
-  // each row writes only its own output, so the result is byte-identical
-  // for every worker count — the same determinism rule as the naming
-  // fan-out.
+  // Span-based parity: encodes from k data-shard views, each at most
+  // `shard_size` bytes (shorter views are virtually zero-padded — no copy,
+  // the missing tail contributes nothing). Returns m parity shards of
+  // exactly `shard_size` bytes, one EncodeParityRow each.
   Result<std::vector<Bytes>> EncodeParity(
-      const std::vector<ByteSpan>& data_shards, std::size_t shard_size,
-      HashPool* pool = nullptr, int max_workers = 1) const;
+      const std::vector<ByteSpan>& data_shards, std::size_t shard_size) const;
+
+  // One parity row: accumulates parity shard `row` (in [0, m)) of the k
+  // data-shard views into `out`, which the caller zeroes and sizes to the
+  // shard size; views may be shorter (virtually zero-padded) but not
+  // longer. A row reads the views and writes only `out`, so the m rows of
+  // one block may run on m threads at once — the write session's naming
+  // window does — with a result independent of the split. EncodeParity
+  // validates its arguments; this entry point only asserts them.
+  void EncodeParityRow(std::span<const ByteSpan> data_shards, int row,
+                       MutableByteSpan out) const;
 
   // Recovers the shards listed in `want` (indices in [0, k+m)) from any k
   // surviving shard views. `shards` has k+m entries: std::nullopt marks a

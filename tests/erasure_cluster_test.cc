@@ -4,7 +4,9 @@
 // loss, GC) and snapshot round-tripping of shard groups. The pipelined read
 // side: identical bytes and counters for every assembly width, dead-holder
 // skipping, random access, integrity failures surfacing only on demand,
-// and teardown with assemblies in flight.
+// and teardown with assemblies in flight. The write side's naming window:
+// teardown with shard encodes queued, and a stripe death while encoded
+// shards wait in the window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -541,6 +543,105 @@ TEST_F(ErasureClusterTest, SessionDestroyedWithAssembliesInFlight) {
     Bytes head(4096);
     ASSERT_TRUE(reader.value()->ReadAt(0, MutableByteSpan(head)).ok());
   }
+}
+
+// ---- Shard encode in the write session's naming window ----------------------
+
+TEST_F(ErasureClusterTest, AbortAndDestroyWithShardEncodesQueued) {
+  ClientOptions o = cluster_->client().options();
+  o.protocol = WriteProtocol::kSlidingWindow;
+  o.hash_workers = 4;  // a window of four chunk-sizes
+  auto client = cluster_->MakeClient(o);
+  Bytes data = rng_.RandomBytes(3 * 4096);  // three chunks: window not full
+
+  if (HashPool::Shared().worker_threads() > 0) {
+    // Encode and naming tasks that no worker has claimed yet.
+    PoolBlocker blocker(HashPool::Shared());
+    auto aborted = client->CreateFile(Name(1));
+    ASSERT_TRUE(aborted.ok());
+    ASSERT_TRUE(aborted.value()->Write(data).ok());
+    EXPECT_EQ(aborted.value()->stats().bytes_transferred, 0u);
+    EXPECT_EQ(aborted.value()->stats().erasure_encoded_chunks, 0u);
+    aborted.value()->Abort();
+
+    auto dropped = client->CreateFile(Name(2));
+    ASSERT_TRUE(dropped.ok());
+    ASSERT_TRUE(dropped.value()->Write(data).ok());
+    EXPECT_EQ(dropped.value()->stats().bytes_transferred, 0u);
+    dropped.value().reset();  // destroyed without Abort or Close
+  }
+  // Encodes racing the abort on live workers.
+  for (std::uint64_t t = 3; t < 23; ++t) {
+    auto session = client->CreateFile(Name(t));
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(session.value()->Write(data).ok());
+    if (t % 2 == 0) session.value()->Abort();
+  }
+
+  for (std::uint64_t t = 1; t < 23; ++t) {
+    EXPECT_FALSE(cluster_->manager().GetVersion(Name(t)).ok()) << t;
+  }
+  ASSERT_TRUE(client->WriteFile(Name(100), data).ok());
+  auto read_back = client->ReadFile(Name(100));
+  ASSERT_TRUE(read_back.ok()) << read_back.status();
+  EXPECT_EQ(read_back.value(), data);
+}
+
+TEST_F(ErasureClusterTest, StripeDeathWhileShardsInWindowRetriesToCommit) {
+  if (HashPool::Shared().worker_threads() == 0) {
+    GTEST_SKIP() << "an inline pool encodes and pushes before Write() returns";
+  }
+  // Exactly k+m benefactors: a dead stripe member has no replacement, so
+  // the first flush fails; once it is back, the retry re-sends the shards
+  // encoded in the window and commits.
+  ClusterOptions options;
+  options.benefactor_count = kK + kM;
+  options.client.chunk_size = 4096;
+  options.client.erasure = {kK, kM};
+  options.client.protocol = WriteProtocol::kSlidingWindow;
+  options.client.hash_workers = 4;
+  StdchkCluster cluster(options);
+  Bytes data = rng_.RandomBytes(5 * 4096 + 100);
+  ByteSpan all(data);
+
+  auto session = cluster.client().CreateFile(Name(1));
+  ASSERT_TRUE(session.ok());
+  {
+    PoolBlocker blocker(HashPool::Shared());
+    ASSERT_TRUE(session.value()->Write(all.first(2 * 4096)).ok());
+    // Both chunks are sealed but neither encoded nor named: in the window.
+    EXPECT_EQ(session.value()->stats().bytes_transferred, 0u);
+    ASSERT_TRUE(cluster.CrashBenefactor(1).ok());
+  }
+
+  // Three more chunks overfill the window, so this Write() must push the
+  // first two — and report that it could not.
+  Status write = session.value()->Write(all.subspan(2 * 4096));
+  EXPECT_EQ(write.code(), StatusCode::kUnavailable) << write;
+  EXPECT_LT(session.value()->stats().parity_shards_written +
+                session.value()->stats().data_shards_written,
+            2u * (kK + kM))
+      << "no shard may land on the dead node";
+
+  ASSERT_TRUE(cluster.RestartBenefactor(1).ok());
+  auto closed = session.value()->Close();
+  ASSERT_TRUE(closed.ok()) << closed.status();
+  const WriteStats& ws = session.value()->stats();
+  EXPECT_EQ(ws.erasure_encoded_chunks, 6u);
+  EXPECT_EQ(ws.chunks_total, 6u);
+
+  auto record = cluster.manager().GetVersion(Name(1));
+  ASSERT_TRUE(record.ok()) << record.status();
+  ASSERT_EQ(record.value().chunk_map.chunks.size(), 6u);
+  for (const ChunkLocation& loc : record.value().chunk_map.chunks) {
+    ASSERT_EQ(loc.shards.size(), static_cast<std::size_t>(kK + kM));
+    std::set<NodeId> nodes;
+    for (const ShardLocation& sl : loc.shards) nodes.insert(sl.node);
+    EXPECT_EQ(nodes.size(), loc.shards.size());
+  }
+  auto read_back = cluster.client().ReadFile(Name(1));
+  ASSERT_TRUE(read_back.ok()) << read_back.status();
+  EXPECT_EQ(read_back.value(), data);
 }
 
 }  // namespace

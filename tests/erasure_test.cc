@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
+#include "chunk/chunk.h"
 #include "common/rng.h"
 #include "erasure/gf256.h"
 
@@ -196,6 +200,50 @@ TEST(ReedSolomonTest, TinyAndEmptyPayloads) {
     auto decoded = rs->DecodeBlock(damaged, n);
     ASSERT_TRUE(decoded.ok()) << n;
     EXPECT_EQ(decoded.value(), data);
+  }
+}
+
+TEST(ReedSolomonTest, ParityRowsMatchEncodeParity) {
+  // Per-row encoding (the write session runs one row per pool task) against
+  // the whole-block EncodeParity and, independently, against parity
+  // recovered from the data shards, over short and empty tail views.
+  for (auto [k, m] : {std::pair{4, 2}, std::pair{3, 3}, std::pair{6, 1}}) {
+    auto rs = ReedSolomon::Create(k, m);
+    ASSERT_TRUE(rs.ok());
+    for (std::size_t size : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                             std::size_t{4096}, std::size_t{4097},
+                             std::size_t{3 * 4096 + 1234}}) {
+      SCOPED_TRACE("k " + std::to_string(k) + " m " + std::to_string(m) +
+                   " size " + std::to_string(size));
+      Rng rng(size + 7);
+      Bytes data = rng.RandomBytes(size);
+      const auto chunk = static_cast<std::uint32_t>(size);
+      const std::size_t shard_size = ErasureShardSize(chunk, k);
+      std::vector<ByteSpan> views;
+      std::vector<std::optional<ByteSpan>> shards;
+      for (int j = 0; j < k; ++j) {
+        views.push_back(ByteSpan(data).subspan(
+            std::min(static_cast<std::size_t>(j) * shard_size, size),
+            ErasureShardLength(chunk, k, j)));
+        shards.emplace_back(views.back());
+      }
+      shards.resize(static_cast<std::size_t>(k + m));  // parity lost
+      auto parity = rs->EncodeParity(views, shard_size);
+      ASSERT_TRUE(parity.ok());
+      ASSERT_EQ(parity.value().size(), static_cast<std::size_t>(m));
+
+      for (int r = m - 1; r >= 0; --r) {  // any order, one buffer each
+        Bytes row(shard_size, 0);
+        rs->EncodeParityRow(views, r, MutableByteSpan(row));
+        EXPECT_EQ(row, parity.value()[static_cast<std::size_t>(r)])
+            << "row " << r;
+        Bytes recovered(shard_size, 0);
+        ASSERT_TRUE(rs->RecoverShards(shards, shard_size, {k + r},
+                                      {MutableByteSpan(recovered)})
+                        .ok());
+        EXPECT_EQ(row, recovered) << "row " << r;
+      }
+    }
   }
 }
 

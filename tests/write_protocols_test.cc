@@ -2,14 +2,17 @@
 // engine: CLW, IW and SW must commit byte-identical files with identical
 // chunk maps, while their WriteStats expose the protocol-specific transfer
 // timing (local spill vs increment flushes vs push-as-produced). Also
-// covers CbCH-driven dedup on the functional streaming write path.
+// covers erasure-coded writes, whose shards the naming window encodes and
+// names, and CbCH-driven dedup on the functional streaming write path.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/cluster.h"
+#include "erasure/reed_solomon.h"
 
 namespace stdchk {
 namespace {
@@ -252,6 +255,93 @@ TEST(WriteProtocolEquivalenceTest,
   for (std::size_t i = part1.size() / 1024; i < chunks.size(); ++i) {
     EXPECT_EQ(chunks[i].replicas.size(), 3u) << "chunk " << i;
     for (NodeId node : chunks[i].replicas) EXPECT_NE(node, dead);
+  }
+}
+
+TEST(WriteProtocolEquivalenceTest,
+     ErasureCodedMapsIdenticalForEveryProtocolAndWidth) {
+  // The naming window encodes and names every chunk's shards as 1 + k + m
+  // independent pool tasks; the committed shard groups must not depend on
+  // which thread ran what, nor on when the protocol pushes. The 3-byte
+  // tail chunk has short and empty data shards.
+  constexpr int kK = 4;
+  constexpr int kM = 2;
+  Rng rng(46);
+  Bytes data = rng.RandomBytes(kFileSize + 3);
+  const std::size_t chunks = kFileSize / kChunkSize + 1;
+  auto rs = ReedSolomon::Create(kK, kM);
+  ASSERT_TRUE(rs.ok());
+
+  std::optional<ChunkMap> reference;
+  for (WriteProtocol protocol :
+       {WriteProtocol::kCompleteLocal, WriteProtocol::kIncremental,
+        WriteProtocol::kSlidingWindow}) {
+    for (int w : {1, 2, 4}) {
+      SCOPED_TRACE("protocol " + std::to_string(static_cast<int>(protocol)) +
+                   " W " + std::to_string(w));
+      ClusterOptions options = BaseOptions();
+      options.client.protocol = protocol;
+      options.client.hash_workers = w;
+      options.client.erasure = {kK, kM};
+      StdchkCluster cluster(options);
+      auto session = cluster.client().CreateFile(Name(1));
+      ASSERT_TRUE(session.ok());
+      for (std::size_t pos = 0; pos < data.size(); pos += 1000) {
+        std::size_t n = std::min<std::size_t>(1000, data.size() - pos);
+        ASSERT_TRUE(session.value()->Write(ByteSpan(data).subspan(pos, n)).ok());
+      }
+      auto outcome = session.value()->Close();
+      ASSERT_TRUE(outcome.ok()) << outcome.status();
+      const WriteStats& ws = session.value()->stats();
+      EXPECT_EQ(ws.erasure_encoded_chunks, chunks);
+      EXPECT_EQ(ws.data_shards_written, chunks * kK);
+      EXPECT_EQ(ws.parity_shards_written, chunks * kM);
+      EXPECT_GT(ws.erasure_encode_ns, 0u);
+
+      auto record = cluster.manager().GetVersion(Name(1));
+      ASSERT_TRUE(record.ok());
+      const ChunkMap& map = record.value().chunk_map;
+      ASSERT_EQ(map.chunks.size(), chunks);
+      if (!reference.has_value()) reference = map;
+      for (std::size_t i = 0; i < chunks; ++i) {
+        SCOPED_TRACE("chunk " + std::to_string(i));
+        const ChunkLocation& got = map.chunks[i];
+        const ChunkLocation& want = reference->chunks[i];
+        EXPECT_EQ(got.id, want.id);
+        EXPECT_EQ(got.ec_k, kK);
+        EXPECT_EQ(got.ec_m, kM);
+        ASSERT_EQ(got.shards.size(), want.shards.size());
+        for (std::size_t s = 0; s < got.shards.size(); ++s) {
+          EXPECT_EQ(got.shards[s].id, want.shards[s].id) << "shard " << s;
+          EXPECT_EQ(got.shards[s].node, want.shards[s].node) << "shard " << s;
+        }
+
+        // The stored parity is what the block codec computes.
+        ByteSpan chunk = ByteSpan(data).subspan(got.file_offset, got.size);
+        const std::size_t shard_size = ErasureShardSize(got.size, kK);
+        std::vector<ByteSpan> views;
+        for (int j = 0; j < kK; ++j) {
+          views.push_back(chunk.subspan(
+              std::min(static_cast<std::size_t>(j) * shard_size, chunk.size()),
+              ErasureShardLength(got.size, kK, j)));
+        }
+        auto parity = rs->EncodeParity(views, shard_size);
+        ASSERT_TRUE(parity.ok());
+        for (int r = 0; r < kM; ++r) {
+          const ShardLocation& loc = got.shards[static_cast<std::size_t>(kK + r)];
+          Benefactor* holder = cluster.FindBenefactor(loc.node);
+          ASSERT_NE(holder, nullptr);
+          auto stored = holder->GetChunk(loc.id);
+          ASSERT_TRUE(stored.ok()) << stored.status();
+          EXPECT_EQ(stored.value().ToBytes(),
+                    parity.value()[static_cast<std::size_t>(r)])
+              << "parity row " << r;
+        }
+      }
+      auto read_back = cluster.client().ReadFile(Name(1));
+      ASSERT_TRUE(read_back.ok()) << read_back.status();
+      EXPECT_EQ(read_back.value(), data);
+    }
   }
 }
 
