@@ -154,8 +154,6 @@ void BM_CbchOverlap(benchmark::State& state) {
   params.boundary_bits_k = 14;
   params.advance_p = 1;
   params.recompute_per_window = state.range(0) == 1;
-  params.boundary_hash = state.range(0) == 2 ? CbchBoundaryHash::kGear
-                                             : CbchBoundaryHash::kMix64Rolling;
   ContentBasedChunker chunker(params);
   for (auto _ : state) {
     auto spans = chunker.Split(data);
@@ -165,15 +163,13 @@ void BM_CbchOverlap(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_CbchOverlap)
-    ->Arg(0)   // Mix64 rolling-hash scan (pre-gear hot path)
     ->Arg(1)   // paper-style per-window recompute
     ->Arg(2);  // gear scan (the current hot path)
 
 // The streaming scanner the write path drives (ChunkPlanner::Append), fed
 // in write-sized pieces — the number the end-to-end CbCH write rides on.
 // Arg 0: min_chunk (0 = every position hashed, 4096 = skip-ahead active).
-// Arg 1: boundary hash (0 = gear, the default; 1 = Mix64 rolling, the
-// pre-gear scan kept for the differential speedup row).
+// Arg 1: 0 (the gear scan; the argument keeps the committed row names).
 void BM_CbchScannerStreaming(benchmark::State& state) {
   Bytes data = MakeInput(8 << 20);
   CbchParams params;
@@ -181,8 +177,6 @@ void BM_CbchScannerStreaming(benchmark::State& state) {
   params.boundary_bits_k = 14;
   params.advance_p = 1;
   params.min_chunk = static_cast<std::uint32_t>(state.range(0));
-  params.boundary_hash = state.range(1) == 0 ? CbchBoundaryHash::kGear
-                                             : CbchBoundaryHash::kMix64Rolling;
   ContentBasedChunker chunker(params);
   constexpr std::size_t kPiece = 256 << 10;
   for (auto _ : state) {
@@ -201,9 +195,7 @@ void BM_CbchScannerStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_CbchScannerStreaming)
     ->Args({0, 0})      // gear, no minimum
-    ->Args({4096, 0})   // gear + min-chunk skip-ahead
-    ->Args({0, 1})      // Mix64 rolling, no minimum (pre-gear baseline)
-    ->Args({4096, 1});  // Mix64 rolling + skip-ahead
+    ->Args({4096, 0});  // gear + min-chunk skip-ahead
 
 class JsonLineReporter : public benchmark::ConsoleReporter {
  public:

@@ -21,7 +21,10 @@ int main() {
 
   // --- Normal operation, with periodic metadata snapshots (hot standby).
   Bytes t1 = rng.RandomBytes(8_MiB);
-  (void)cluster.client().WriteFile(CheckpointName{"job", "n0", 1}, t1);
+  if (!cluster.client().WriteFile(CheckpointName{"job", "n0", 1}, t1).ok()) {
+    std::printf("T1 write failed\n");
+    return 1;
+  }
   Bytes standby_snapshot = cluster.manager().SaveSnapshot();
   std::printf("T1 committed; standby snapshot taken (%zu KB of metadata)\n",
               standby_snapshot.size() >> 10);
@@ -29,7 +32,10 @@ int main() {
   // --- The manager dies mid-run, exactly when T2's writer wants to commit.
   auto session = cluster.client().CreateFile(CheckpointName{"job", "n0", 2});
   Bytes t2 = rng.RandomBytes(8_MiB);
-  (void)session.value()->Write(t2);
+  if (!session.ok() || !session.value()->Write(t2).ok()) {
+    std::printf("T2 write failed\n");
+    return 1;
+  }
   cluster.manager().Crash();
   auto outcome = session.value()->Close();
   std::printf("T2 close with manager down: %s\n",
@@ -47,6 +53,7 @@ int main() {
   cluster.Tick(1.0);
   cluster.Tick(1.0);
 
+  bool ok = true;
   for (std::uint64_t t : {1ull, 2ull}) {
     auto data = cluster.client().ReadFile(CheckpointName{"job", "n0", t});
     bool match = data.ok() && (t == 1 ? data.value() == t1 : data.value() == t2);
@@ -54,6 +61,7 @@ int main() {
                 static_cast<unsigned long long>(t),
                 match ? "readable, content verified"
                       : data.status().ToString().c_str());
+    ok = ok && match;
   }
 
   // --- Life goes on.
@@ -62,5 +70,5 @@ int main() {
   std::printf("T3 after failover: %s\n",
               next.ok() ? "committed" : next.status().ToString().c_str());
   cluster.Settle();
-  return 0;
+  return ok && next.ok() ? 0 : 1;
 }

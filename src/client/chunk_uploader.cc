@@ -221,7 +221,7 @@ Status ChunkUploader::FlushErasure() {
       Unit u;
       u.put.id = p.chunk.shard_ids[s];
       u.put.data = p.chunk.shards[s];
-      if (options_.stamp_chunk_digests) u.put.data.StampDigest(u.put.id.digest);
+      u.put.data.StampDigest(u.put.id.digest);
       u.put.group = p.chunk.id;
       u.put.shard_index = static_cast<int>(s);
       // Rotate the group's walk by the shard index so the group fans out

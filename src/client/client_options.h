@@ -59,15 +59,6 @@ struct ClientOptions {
   // the uploader's per-benefactor queues. 0 = unbounded.
   std::size_t max_batch_chunks = 64;
 
-  // Stamp each staged chunk's slice with the digest computed at naming
-  // time, so in-process verification hops (benefactor put admission,
-  // memory-store read integrity) compare digests instead of re-hashing —
-  // each byte is hashed once end to end. Slices that cross a
-  // re-materializing boundary (disk store, a real wire) lose the stamp and
-  // are re-hashed there regardless. Disable only to emulate the
-  // re-hash-per-hop data path (bench baselines).
-  bool stamp_chunk_digests = true;
-
   // W: threads used to SHA-1-name drain generations (including the
   // session's own thread), and the SW window size — SW keeps up to W
   // chunk-sizes unpushed while their names are computed behind the
@@ -78,14 +69,6 @@ struct ClientOptions {
   // concurrency; 1 = the synchronous one-chunk window, bit for bit (the
   // shared HashPool is never touched).
   int hash_workers = 0;
-
-  // Decentralized placement (epoch-versioned table): the proxy caches the
-  // manager's placement table and each write computes its stripe locally,
-  // reserving at the cached epoch; the manager is consulted only when the
-  // epoch goes stale. Off by default: the legacy path asks the manager to
-  // pick every stripe (server-side SelectStripe), preserving its exact
-  // free-space-aware placement byte for byte.
-  bool decentralized_placement = false;
 
   // Replicas required at close() for pessimistic writes; also recorded as
   // the version's replication target (0 = inherit the folder policy).

@@ -13,9 +13,8 @@ Result<std::unique_ptr<WriteSession>> ClientProxy::CreateFileWith(
     return AlreadyExistsError("checkpoint image " + name.ToString() +
                               " already exists");
   }
-  return std::make_unique<WriteSession>(
-      manager_, transport_, name, options,
-      options.decentralized_placement ? &table_cache_ : nullptr);
+  return std::make_unique<WriteSession>(manager_, transport_, name, options,
+                                        table_cache_);
 }
 
 Result<CloseOutcome> ClientProxy::WriteFile(const CheckpointName& name,

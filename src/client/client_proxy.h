@@ -64,7 +64,7 @@ class ClientProxy {
   MetadataManager* manager() { return manager_; }
 
   // The proxy-wide placement-table cache (one table shared by all of this
-  // desktop's write sessions when decentralized placement is on).
+  // desktop's write sessions).
   PlacementTableCache& table_cache() { return table_cache_; }
 
  private:

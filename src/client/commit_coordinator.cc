@@ -10,7 +10,7 @@ CommitCoordinator::CommitCoordinator(MetadataManager* manager,
                                      CheckpointName name,
                                      const ClientOptions& options,
                                      WriteStats* stats,
-                                     PlacementTableCache* table_cache)
+                                     PlacementTableCache& table_cache)
     : manager_(manager),
       transport_(transport),
       name_(std::move(name)),
@@ -25,7 +25,7 @@ Status CommitCoordinator::ReserveDecentralized(std::uint64_t bytes) {
   Status last = InternalError("placement retry loop did not run");
   for (int attempt = 0; attempt < 3; ++attempt) {
     bool fetched = false;
-    auto table = table_cache_->Get(&fetched);
+    auto table = table_cache_.Get(&fetched);
     if (!table.ok()) return table.status();
     if (fetched) ++stats_->placement_table_fetches;
 
@@ -35,7 +35,7 @@ Status CommitCoordinator::ReserveDecentralized(std::uint64_t bytes) {
     if (!stripe.ok()) {
       // Not enough members in the cached table; a node may have joined
       // since — refetch once rather than failing a placeable write.
-      table_cache_->Invalidate();
+      table_cache_.Invalidate();
       last = stripe.status();
       continue;
     }
@@ -52,7 +52,7 @@ Status CommitCoordinator::ReserveDecentralized(std::uint64_t bytes) {
     }
     if (reserved.status().code() == StatusCode::kFailedPrecondition) {
       ++stats_->placement_epoch_mismatches;
-      table_cache_->Invalidate();
+      table_cache_.Invalidate();
       last = reserved.status();
       continue;
     }
@@ -65,13 +65,7 @@ Status CommitCoordinator::EnsureReservation(std::uint64_t upcoming) {
   if (!have_reservation_) {
     std::uint64_t bytes =
         std::max<std::uint64_t>(upcoming, options_.reservation_extent);
-    if (table_cache_ != nullptr) return ReserveDecentralized(bytes);
-    STDCHK_ASSIGN_OR_RETURN(reservation_,
-                            manager_->ReserveStripe(options_.stripe_width,
-                                                    bytes));
-    have_reservation_ = true;
-    reserved_remaining_ = reservation_.reserved_bytes;
-    return OkStatus();
+    return ReserveDecentralized(bytes);
   }
   if (upcoming > reserved_remaining_) {
     // Incremental space allocation: extend the eager reservation (§IV.A).
@@ -163,8 +157,8 @@ Result<CloseOutcome> CommitCoordinator::Commit() {
   record.size = file_offset_;
   record.replication_target = options_.replication_target;
 
-  // placed_epoch_ 0 (legacy path, or nothing was placed) skips the
-  // manager's epoch validation; otherwise a membership change since
+  // placed_epoch_ 0 (nothing was placed) skips the manager's epoch
+  // validation; otherwise a membership change since
   // placement is caught here — the last line of defense against
   // committing onto a departed benefactor.
   Status commit = manager_->CommitVersionAt(

@@ -29,14 +29,12 @@ enum class CloseOutcome {
 
 class CommitCoordinator {
  public:
-  // `table_cache` enables decentralized placement: the first reservation
-  // computes its stripe from the cached table (ComputeStripe) and reserves
-  // at the table's epoch, refetching only on a stale-epoch rejection.
-  // nullptr keeps the legacy server-side SelectStripe path.
+  // The first reservation computes its stripe from `table_cache` (the
+  // owning ClientProxy's; ComputeStripe) and reserves at the table's
+  // epoch, refetching only on a stale-epoch rejection.
   CommitCoordinator(MetadataManager* manager, Transport* transport,
                     CheckpointName name, const ClientOptions& options,
-                    WriteStats* stats,
-                    PlacementTableCache* table_cache = nullptr);
+                    WriteStats* stats, PlacementTableCache& table_cache);
 
   // ---- Reservation lifecycle (batch-aware) ---------------------------------
   // Ensures a stripe reservation exists and covers `upcoming` more bytes.
@@ -88,7 +86,7 @@ class CommitCoordinator {
  private:
   Status StashOnStripe(const VersionRecord& record);
   // First reservation via the cached placement table (mismatch-refetch
-  // loop); only used when table_cache_ is set.
+  // loop).
   Status ReserveDecentralized(std::uint64_t bytes);
 
   MetadataManager* manager_;
@@ -96,14 +94,14 @@ class CommitCoordinator {
   CheckpointName name_;
   const ClientOptions& options_;
   WriteStats* stats_;
-  PlacementTableCache* table_cache_;
+  PlacementTableCache& table_cache_;
 
   WriteReservation reservation_;
   bool have_reservation_ = false;
   std::uint64_t reserved_remaining_ = 0;
-  // Table epoch the stripe was placed against; 0 until a decentralized
-  // reservation exists (commit then skips epoch validation — legacy path
-  // or an all-dedup/empty write that placed nothing).
+  // Table epoch the stripe was placed against; 0 until a reservation
+  // exists (commit then skips epoch validation — an all-dedup or empty
+  // write placed nothing).
   std::uint64_t placed_epoch_ = 0;
 
   ChunkMap map_;

@@ -42,7 +42,7 @@ std::uint64_t NanosSince(std::chrono::steady_clock::time_point t0) {
 
 WriteSession::WriteSession(MetadataManager* manager, Transport* transport,
                            CheckpointName name, ClientOptions options,
-                           PlacementTableCache* table_cache)
+                           PlacementTableCache& table_cache)
     : options_(ResolveOptions(manager, name, std::move(options))),
       planner_(options_.chunker),
       placement_(std::make_unique<RoundRobinPlacement>()),
@@ -129,7 +129,7 @@ void WriteSession::RunNamingTask(Generation& gen, std::size_t c,
   if (task == 0) {
     chunk.id = ChunkId::For(chunk.data.span());
     // Downstream verifies compare the stamp instead of re-hashing.
-    if (options_.stamp_chunk_digests) chunk.data.StampDigest(chunk.id.digest);
+    chunk.data.StampDigest(chunk.id.digest);
     return;
   }
   const std::size_t k = static_cast<std::size_t>(options_.erasure.k);

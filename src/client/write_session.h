@@ -48,11 +48,11 @@ namespace stdchk {
 
 class WriteSession {
  public:
-  // `table_cache` (usually the owning ClientProxy's) enables decentralized
-  // placement for this session; nullptr keeps server-side placement.
+  // `table_cache` is the owning ClientProxy's: the session computes its
+  // stripe from the cached placement table.
   WriteSession(MetadataManager* manager, Transport* transport,
                CheckpointName name, ClientOptions options,
-               PlacementTableCache* table_cache = nullptr);
+               PlacementTableCache& table_cache);
   ~WriteSession();
 
   WriteSession(const WriteSession&) = delete;

@@ -49,9 +49,9 @@ struct ClusterStats {
 
   // Metadata plane: sharded catalog + decentralized placement. The shard
   // vector has one entry per catalog shard; the scalar catalog_* fields
-  // are sums across shards. In steady state server_side_placements and
-  // placement_epoch_mismatches stay flat while writes proceed — the
-  // decentralized-placement invariant.
+  // are sums across shards. In steady state server_side_placements (stripe
+  // failover replacements) and placement_epoch_mismatches stay flat while
+  // writes proceed — the decentralized-placement invariant.
   std::size_t catalog_shards = 0;
   std::uint64_t catalog_ops = 0;
   std::uint64_t catalog_lock_acquisitions = 0;

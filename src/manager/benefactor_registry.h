@@ -96,7 +96,7 @@ class BenefactorRegistry {
   // mutable: SelectStripe is a logically-const read that advances the
   // tie-break cursor.
   mutable std::uint64_t rr_cursor_ GUARDED_BY(mu_) = 0;
-  // Starts at 1 so clients can use 0 as "no cached table / legacy commit".
+  // Starts at 1 so clients can use 0 as "no cached table / nothing placed".
   std::uint64_t epoch_ GUARDED_BY(mu_) = 1;
 };
 

@@ -119,29 +119,6 @@ Status MetadataManager::OfferRecoveredVersion(NodeId from,
   return OkStatus();
 }
 
-Result<WriteReservation> MetadataManager::ReserveStripe(int width,
-                                                        std::uint64_t bytes) {
-  MutexLock lock(mu_);
-  STDCHK_RETURN_IF_ERROR(CheckUp());
-  stat_server_placements_.fetch_add(1, std::memory_order_relaxed);
-  STDCHK_ASSIGN_OR_RETURN(std::vector<NodeId> stripe,
-                          registry_.SelectStripe(width));
-  Reservation res;
-  res.id = next_reservation_++;
-  res.stripe = stripe;
-  res.bytes = bytes;
-  res.last_touch = clock_->NowUs();
-  std::uint64_t per_node = bytes / static_cast<std::uint64_t>(width) + 1;
-  for (NodeId node : stripe) registry_.AddReserved(node, per_node);
-  reservations_[res.id] = res;
-
-  WriteReservation out;
-  out.id = res.id;
-  out.stripe = std::move(stripe);
-  out.reserved_bytes = bytes;
-  return out;
-}
-
 Status MetadataManager::ExtendReservation(ReservationId id,
                                           std::uint64_t additional_bytes) {
   MutexLock lock(mu_);

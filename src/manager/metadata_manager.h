@@ -53,7 +53,9 @@ struct ManagerCounters {
   std::uint64_t placement_epoch = 0;
   std::uint64_t placement_table_fetches = 0;    // GetPlacementTable calls
   std::uint64_t placement_epoch_mismatches = 0; // stale-epoch rejections
-  std::uint64_t server_side_placements = 0;     // legacy SelectStripe calls
+  // Stripe members the manager picked itself: ReplaceReservationNode
+  // failover replacements (clients place every stripe from the table).
+  std::uint64_t server_side_placements = 0;
   // Shard records released by version deletion/purge — the metadata half
   // of shard-group GC (physical bytes follow via the GC exchange).
   std::uint64_t shard_records_released = 0;
@@ -88,18 +90,14 @@ class MetadataManager {
   Status OfferRecoveredVersion(NodeId from, const VersionRecord& record,
                                int stripe_width);
 
-  // ---- Client-facing RPCs --------------------------------------------------
-  // Eagerly reserves `bytes` across a stripe of `width` benefactors. The
-  // legacy (server-side placement) path: the manager picks the stripe.
-  Result<WriteReservation> ReserveStripe(int width, std::uint64_t bytes);
-
-  // ---- Decentralized placement (epoch-versioned table) ---------------------
+  // ---- Client-facing RPCs: decentralized placement --------------------------
   // Publishes the current placement table; clients cache it and compute
   // stripes locally (client/placement.h: ComputeStripe).
   Result<PlacementTable> GetPlacementTable() const;
-  // Reserves a client-chosen stripe placed against table `epoch`. Fails
-  // FailedPrecondition when the epoch is stale (membership changed since
-  // the client cached the table) — the client refetches and retries.
+  // Eagerly reserves `bytes` across a client-chosen stripe placed against
+  // table `epoch`. Fails FailedPrecondition when the epoch is stale
+  // (membership changed since the client cached the table) — the client
+  // refetches and retries.
   Result<WriteReservation> ReserveStripeAt(std::uint64_t epoch,
                                            const std::vector<NodeId>& stripe,
                                            std::uint64_t bytes);
@@ -120,10 +118,11 @@ class MetadataManager {
   Status CommitVersion(ReservationId id, const VersionRecord& record);
 
   // Epoch-validated commit: `placed_epoch` is the table epoch the client
-  // placed against (0 = legacy, no validation). If membership changed since
-  // placement, replicas on departed benefactors are dropped; the commit is
-  // rejected FailedPrecondition if any chunk would be left with no live
-  // replica — a stale client can never commit onto a departed benefactor.
+  // placed against (0 = nothing was placed, no validation). If membership
+  // changed since placement, replicas on departed benefactors are dropped;
+  // the commit is rejected FailedPrecondition if any chunk would be left
+  // with no live replica — a stale client can never commit onto a departed
+  // benefactor.
   Status CommitVersionAt(ReservationId id, const VersionRecord& record,
                          std::uint64_t placed_epoch);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "client/placement.h"
 #include "common/rng.h"
 #include "core/cluster.h"
 
@@ -86,7 +87,6 @@ TEST(ClusterStatsTest, MetadataPlaneCountersSurface) {
   options.manager.catalog_shards = 4;
   options.client.stripe_width = 2;
   options.client.chunk_size = 1024;
-  options.client.decentralized_placement = true;
   StdchkCluster cluster(options);
   Rng rng(7);
 
@@ -121,21 +121,53 @@ TEST(ClusterStatsTest, MetadataPlaneCountersSurface) {
   EXPECT_EQ(stats.server_side_placements, 0u);
 }
 
-TEST(ClusterStatsTest, LegacyPlacementShowsServerSidePlacements) {
-  ClusterOptions options;
-  options.benefactor_count = 4;
-  options.client.stripe_width = 2;
-  options.client.chunk_size = 1024;
-  StdchkCluster cluster(options);
+// The default configuration places every stripe on the client: one table
+// fetch serves every write, and the only stripe member the manager picks
+// itself is the failover replacement for a member that dies mid-write.
+TEST(ClusterStatsTest, DefaultClusterPlacesLocallyAndCountsOnlyFailover) {
+  StdchkCluster cluster;
   Rng rng(8);
-  ASSERT_TRUE(cluster.client()
-                  .WriteFile(CheckpointName{"a", "n", 1}, rng.RandomBytes(4096))
-                  .ok());
-
+  for (std::uint64_t t = 1; t <= 4; ++t) {
+    ASSERT_TRUE(cluster.client()
+                    .WriteFile(CheckpointName{"app", "n", t},
+                               rng.RandomBytes(2 * kDefaultChunkSize))
+                    .ok());
+  }
   ClusterStats stats = CollectStats(cluster);
-  EXPECT_EQ(stats.catalog_shards, 1u);  // default single shard
-  EXPECT_EQ(stats.placement_table_fetches, 0u);
-  EXPECT_GT(stats.server_side_placements, 0u);
+  EXPECT_EQ(stats.placement_table_fetches, 1u);
+  EXPECT_EQ(stats.placement_epoch_mismatches, 0u);
+  EXPECT_EQ(stats.server_side_placements, 0u);
+
+  // The next file's stripe, as its session will compute it from the warm
+  // cache; every member receives one of its four chunks.
+  CheckpointName name{"app", "n", 5};
+  auto table = cluster.client().table_cache().Get();
+  ASSERT_TRUE(table.ok());
+  auto stripe = ComputeStripe(table.value(),
+                              cluster.client().options().stripe_width,
+                              PlacementSeed(name));
+  ASSERT_TRUE(stripe.ok());
+  Benefactor* victim = cluster.FindBenefactor(stripe.value()[1]);
+  ASSERT_NE(victim, nullptr);
+
+  Bytes image = rng.RandomBytes(4 * kDefaultChunkSize);
+  ByteSpan bytes(image);
+  auto session = cluster.client().CreateFile(name);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session.value()->Write(bytes.first(kDefaultChunkSize)).ok());
+  victim->Crash();
+  ASSERT_TRUE(session.value()->Write(bytes.subspan(kDefaultChunkSize)).ok());
+  ASSERT_TRUE(session.value()->Close().ok());
+
+  stats = CollectStats(cluster);
+  EXPECT_EQ(stats.placement_table_fetches, 1u);
+  EXPECT_EQ(stats.placement_epoch_mismatches, 0u);
+  EXPECT_EQ(stats.server_side_placements, 1u);
+
+  victim->Restart();
+  auto read = cluster.client().ReadFile(name);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value(), image);
 }
 
 }  // namespace

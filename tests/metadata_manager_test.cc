@@ -38,33 +38,40 @@ class MetadataManagerTest : public ::testing::Test {
     return record;
   }
 
+  // Reserves `bytes` on the first `width` registered nodes, placed against
+  // the current table epoch (what a client's ComputeStripe would send).
+  Result<WriteReservation> Reserve(std::size_t width, std::uint64_t bytes) {
+    std::vector<NodeId> stripe(
+        nodes_.begin(), nodes_.begin() + static_cast<std::ptrdiff_t>(width));
+    return manager_.ReserveStripeAt(manager_.registry().placement_epoch(),
+                                    stripe, bytes);
+  }
+
   VirtualClock clock_;
   MetadataManager manager_;
   std::vector<NodeId> nodes_;
 };
 
-TEST_F(MetadataManagerTest, ReserveStripeReturnsDistinctNodes) {
-  auto res = manager_.ReserveStripe(4, 100_MiB);
+TEST_F(MetadataManagerTest, ReservationSteersFailoverReplacement) {
+  auto res = Reserve(1, 10_MiB);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.value().stripe.size(), 4u);
-  EXPECT_NE(res.value().id, 0u);
-}
-
-TEST_F(MetadataManagerTest, ReserveStripeFailsBeyondPool) {
-  EXPECT_FALSE(manager_.ReserveStripe(5, 1_MiB).ok());
-}
-
-TEST_F(MetadataManagerTest, ReservationAffectsStripeSelection) {
-  auto res = manager_.ReserveStripe(1, 1_GiB);
-  ASSERT_TRUE(res.ok());
-  // The reserved node now has the least effective free space.
-  auto next = manager_.ReserveStripe(1, 1_MiB);
-  ASSERT_TRUE(next.ok());
-  EXPECT_NE(next.value().stripe[0], res.value().stripe[0]);
+  // A 1 GiB reservation leaves nodes_[1] (a 1 GiB donor) the least
+  // effective free space, so failover never picks it.
+  ASSERT_TRUE(manager_
+                  .ReserveStripeAt(manager_.registry().placement_epoch(),
+                                   {nodes_[1]}, 1_GiB)
+                  .ok());
+  for (int i = 0; i < 4; ++i) {
+    auto fresh = manager_.ReplaceReservationNode(res.value().id,
+                                                 res.value().stripe[0]);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_NE(fresh.value(), nodes_[1]);
+    res.value().stripe[0] = fresh.value();
+  }
 }
 
 TEST_F(MetadataManagerTest, ExtendAndReleaseReservation) {
-  auto res = manager_.ReserveStripe(2, 10_MiB);
+  auto res = Reserve(2, 10_MiB);
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(manager_.ExtendReservation(res.value().id, 10_MiB).ok());
   EXPECT_TRUE(manager_.ReleaseReservation(res.value().id).ok());
@@ -73,7 +80,7 @@ TEST_F(MetadataManagerTest, ExtendAndReleaseReservation) {
 }
 
 TEST_F(MetadataManagerTest, ReservationGcReclaimsExpired) {
-  auto res = manager_.ReserveStripe(2, 10_MiB);
+  auto res = Reserve(2, 10_MiB);
   ASSERT_TRUE(res.ok());
   clock_.AdvanceSeconds(120);  // past the 60 s TTL
   manager_.TickReservationGc();
@@ -82,7 +89,7 @@ TEST_F(MetadataManagerTest, ReservationGcReclaimsExpired) {
 }
 
 TEST_F(MetadataManagerTest, ReservationGcKeepsFreshOnes) {
-  auto res = manager_.ReserveStripe(2, 10_MiB);
+  auto res = Reserve(2, 10_MiB);
   ASSERT_TRUE(res.ok());
   clock_.AdvanceSeconds(30);
   manager_.TickReservationGc();
@@ -90,7 +97,7 @@ TEST_F(MetadataManagerTest, ReservationGcKeepsFreshOnes) {
 }
 
 TEST_F(MetadataManagerTest, CommitReleasesReservation) {
-  auto res = manager_.ReserveStripe(1, 10_MiB);
+  auto res = Reserve(1, 10_MiB);
   ASSERT_TRUE(res.ok());
   ASSERT_TRUE(manager_
                   .CommitVersion(res.value().id,
@@ -137,8 +144,9 @@ TEST_F(MetadataManagerTest, SetFolderPolicyValidates) {
 TEST_F(MetadataManagerTest, CrashMakesRpcsUnavailable) {
   manager_.Crash();
   EXPECT_FALSE(manager_.IsUp());
-  EXPECT_EQ(manager_.ReserveStripe(1, 1).status().code(),
+  EXPECT_EQ(manager_.GetPlacementTable().status().code(),
             StatusCode::kUnavailable);
+  EXPECT_EQ(Reserve(1, 1).status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(manager_.Heartbeat(nodes_[0], 1).code(), StatusCode::kUnavailable);
   EXPECT_EQ(manager_.GetVersion(CheckpointName{"a", "n", 1}).status().code(),
             StatusCode::kUnavailable);
@@ -186,7 +194,7 @@ TEST_F(MetadataManagerTest, GcExchangeIdentifiesOrphans) {
 }
 
 TEST_F(MetadataManagerTest, GcDefersWhileNodeHasActiveReservation) {
-  auto res = manager_.ReserveStripe(4, 10_MiB);  // covers all nodes
+  auto res = Reserve(4, 10_MiB);  // covers all nodes
   ASSERT_TRUE(res.ok());
   ChunkId inflight = MakeChunkId(888);
   auto doomed = manager_.GcExchange(nodes_[0], {inflight});
@@ -346,7 +354,7 @@ TEST_F(MetadataManagerTest, ReserveStripeAtAcceptsCurrentEpoch) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.value().stripe, (std::vector<NodeId>{nodes_[0], nodes_[1]}));
   EXPECT_NE(res.value().id, 0u);
-  // The eager reservation charges the named nodes, like the legacy path.
+  // The eager reservation charges the named nodes.
   auto status = manager_.registry_mutable().Get(nodes_[0]);
   ASSERT_TRUE(status.ok());
   EXPECT_GT(status.value().reserved_bytes, 0u);
@@ -425,9 +433,9 @@ TEST_F(MetadataManagerTest, StaleCommitRejectedWhenAllReplicasDeparted) {
   EXPECT_FALSE(manager_.GetVersion(CheckpointName{"app", "n1", 1}).ok());
 }
 
-TEST_F(MetadataManagerTest, LegacyCommitSkipsEpochValidation) {
-  // placed_epoch 0 is the sentinel for "server placed this stripe": replicas
-  // are trusted as before the epoch protocol existed.
+TEST_F(MetadataManagerTest, UnplacedCommitSkipsEpochValidation) {
+  // placed_epoch 0 is the sentinel for "nothing was placed against a
+  // table" (an all-dedup or empty write): replicas are trusted as given.
   VersionRecord record = MakeVersion("app", 1, nodes_[1]);
   manager_.registry_mutable().SetOffline(nodes_[1]);
   EXPECT_TRUE(manager_.CommitVersionAt(0, record, 0).ok());
@@ -442,7 +450,12 @@ TEST_F(MetadataManagerTest, CountersTrackPlacementTraffic) {
 
   (void)manager_.GetPlacementTable();
   (void)manager_.GetPlacementTable();
-  (void)manager_.ReserveStripe(2, 1_MiB);  // legacy server-side placement
+  auto res = Reserve(2, 1_MiB);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(manager_.Counters().server_side_placements, 0u);
+  // Failover is the one placement the manager still makes itself.
+  ASSERT_TRUE(
+      manager_.ReplaceReservationNode(res.value().id, nodes_[0]).ok());
 
   ManagerCounters after = manager_.Counters();
   EXPECT_EQ(after.placement_table_fetches, 2u);

@@ -255,15 +255,15 @@ TEST(ParallelHashDeterminismTest, PlannerMatchesSerialAcrossWorkersAndTiming) {
   Rng rng(2026);
   Bytes data = rng.RandomBytes(512 * 1024);
 
-  CbchParams gear;  // default boundary hash
+  CbchParams gear;  // p == 1: the gear scan
   gear.boundary_bits_k = 10;
-  CbchParams mix = gear;
-  mix.boundary_hash = CbchBoundaryHash::kMix64Rolling;
+  CbchParams hop = gear;  // p > 1: windows straddle Feed edges
+  hop.advance_p = 8;
 
   std::vector<std::shared_ptr<const Chunker>> chunkers = {
       std::make_shared<FixedSizeChunker>(8192),
       std::make_shared<ContentBasedChunker>(gear),
-      std::make_shared<ContentBasedChunker>(mix),
+      std::make_shared<ContentBasedChunker>(hop),
   };
 
   for (const auto& chunker : chunkers) {

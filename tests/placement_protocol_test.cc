@@ -19,7 +19,6 @@ ClusterOptions DecentralizedOptions(int benefactors) {
   options.benefactor_count = benefactors;
   options.client.stripe_width = 2;
   options.client.chunk_size = 1024;
-  options.client.decentralized_placement = true;
   return options;
 }
 
@@ -120,19 +119,6 @@ TEST(PlacementProtocolTest, StaleClientCannotCommitOntoDepartedBenefactor) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_GE(cluster.manager().Counters().placement_epoch_mismatches, 1u);
   EXPECT_FALSE(cluster.manager().GetVersion(CheckpointName{"app", "n", 1}).ok());
-}
-
-TEST(PlacementProtocolTest, LegacyClientsKeepServerSidePlacement) {
-  ClusterOptions options = DecentralizedOptions(4);
-  options.client.decentralized_placement = false;
-  StdchkCluster cluster(options);
-  Rng rng(15);
-  ASSERT_TRUE(cluster.client()
-                  .WriteFile(CheckpointName{"app", "n", 1}, rng.RandomBytes(2048))
-                  .ok());
-  ManagerCounters counters = cluster.manager().Counters();
-  EXPECT_EQ(counters.placement_table_fetches, 0u);
-  EXPECT_GT(counters.server_side_placements, 0u);
 }
 
 }  // namespace

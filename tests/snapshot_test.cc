@@ -109,12 +109,15 @@ TEST_F(SnapshotTest, PostSnapshotCommitsAreLostButConsistent) {
 }
 
 TEST_F(SnapshotTest, SnapshotClearsTransientState) {
-  auto res = cluster_->manager().ReserveStripe(2, 1_MiB);
+  MetadataManager& manager = cluster_->manager();
+  auto res = manager.ReserveStripeAt(
+      manager.registry().placement_epoch(),
+      {cluster_->benefactor(0).id(), cluster_->benefactor(1).id()}, 1_MiB);
   ASSERT_TRUE(res.ok());
-  Bytes snapshot = cluster_->manager().SaveSnapshot();
-  ASSERT_TRUE(cluster_->manager().LoadSnapshot(snapshot).ok());
+  Bytes snapshot = manager.SaveSnapshot();
+  ASSERT_TRUE(manager.LoadSnapshot(snapshot).ok());
   // Reservations are transient: gone after failover.
-  EXPECT_EQ(cluster_->manager().ExtendReservation(res.value().id, 1).code(),
+  EXPECT_EQ(manager.ExtendReservation(res.value().id, 1).code(),
             StatusCode::kNotFound);
 }
 

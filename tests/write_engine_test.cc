@@ -200,9 +200,11 @@ TEST_F(BatchPutTest, BatchToOfflineNodeFails) {
 // ---- Manager: reservation stripe repair ------------------------------------
 
 TEST_F(BatchPutTest, ReplaceReservationNodeSwapsInFreshDonor) {
-  for (int i = 0; i < 4; ++i) AddNode(1_GiB);
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 4; ++i) nodes.push_back(AddNode(1_GiB)->id());
 
-  auto reservation = manager_.ReserveStripe(2, 1000);
+  auto reservation = manager_.ReserveStripeAt(
+      manager_.registry().placement_epoch(), {nodes[0], nodes[1]}, 1000);
   ASSERT_TRUE(reservation.ok());
   NodeId dead = reservation.value().stripe[0];
 
