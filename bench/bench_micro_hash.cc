@@ -57,41 +57,23 @@ void BM_Fnv1a(benchmark::State& state) {
 }
 BENCHMARK(BM_Fnv1a)->Arg(20)->Arg(4096)->Arg(1 << 20);
 
-void BM_RollingHashScan(benchmark::State& state) {
-  Bytes data = MakeInput(1 << 20);
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    RollingHash hash(m);
-    for (std::size_t i = 0; i < m; ++i) hash.Push(data[i]);
-    std::uint64_t acc = 0;
-    for (std::size_t pos = 0; pos + m < data.size(); ++pos) {
-      hash.Roll(data[pos], data[pos + m]);
-      acc ^= hash.value();
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_RollingHashScan)->Arg(20)->Arg(64);
-
 // The per-byte boundary checks head to head: the old polynomial-roll +
 // Mix64 finalize (3 multiplies per byte) vs the gear table update + top-bit
 // mask (shift, add, lookup). These are the raw primitives underneath the
 // BM_CbchOverlap chunker rows.
 void BM_Mix64BoundaryScan(benchmark::State& state) {
+  constexpr std::uint64_t kBase = 0x100000001b3ull;  // polynomial base
   Bytes data = MakeInput(1 << 20);
   const std::size_t m = 20;
   const std::uint64_t mask = (1ull << 14) - 1;
   for (auto _ : state) {
     std::uint64_t h = 0, pow_m = 1, boundaries = 0;
-    for (std::size_t i = 0; i + 1 < m; ++i) pow_m *= RollingHash::kBase;
+    for (std::size_t i = 0; i + 1 < m; ++i) pow_m *= kBase;
     for (std::size_t i = 0; i < m; ++i) {
-      h = h * RollingHash::kBase + data[i] + 1;
+      h = h * kBase + data[i] + 1;
     }
     for (std::size_t pos = 0; pos + m < data.size(); ++pos) {
-      h = (h - (data[pos] + 1ull) * pow_m) * RollingHash::kBase +
-          data[pos + m] + 1;
+      h = (h - (data[pos] + 1ull) * pow_m) * kBase + data[pos + m] + 1;
       boundaries += (Mix64(h) & mask) == 0;
     }
     benchmark::DoNotOptimize(boundaries);

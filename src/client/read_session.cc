@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <optional>
 #include <utility>
 
@@ -522,10 +523,77 @@ void ReadSession::EvictToBudget(std::size_t demand) {
   }
 }
 
-template <typename Sink>
-Result<std::size_t> ReadSession::ReadChunks(std::uint64_t offset,
-                                            std::size_t max, Sink&& sink) {
-  if (offset >= record_.size || max == 0) return std::size_t{0};
+namespace {
+
+// Delivers verified chunk bytes into the caller's buffer. With W > 1 the
+// copies queue up and go to the shared HashPool in batches of at least
+// `batch_bytes`, so they run on the pool while the session thread fetches
+// and verifies the next chunks, and small (CbCH) chunks share a post; with
+// W == 1 each copy runs inline, the serial path bit for bit. Queued pieces
+// hold their slices, so eviction from the read-ahead cache cannot pull the
+// bytes out from under a pending copy; the slices drop with the CopyOut, on
+// the session thread.
+class CopyOut {
+ public:
+  CopyOut(int workers, std::size_t batch_bytes)
+      : workers_(workers), batch_bytes_(batch_bytes) {}
+
+  void Add(BufferSlice piece, std::uint8_t* dst) {
+    if (workers_ <= 1) {
+      std::memcpy(dst, piece.data(), piece.size());
+      return;
+    }
+    queued_bytes_ += piece.size();
+    queued_.push_back(Piece{std::move(piece), dst});
+    if (queued_bytes_ >= batch_bytes_) Post();
+  }
+
+  // Posts what is still queued, then blocks until every posted copy has
+  // run. Newest batch first: workers take batches oldest first, so the
+  // awaiting thread copies the tail itself instead of waiting behind it.
+  void AwaitAll() {
+    Post();
+    for (auto it = posted_.rbegin(); it != posted_.rend(); ++it) {
+      HashPool::Shared().Await(it->ticket);
+    }
+  }
+
+ private:
+  struct Piece {
+    BufferSlice src;
+    std::uint8_t* dst;
+  };
+  struct Batch {
+    std::vector<Piece> pieces;  // stays put while posted (deque element)
+    HashPool::Ticket ticket;
+  };
+
+  void Post() {
+    if (queued_.empty()) return;
+    Batch& batch = posted_.emplace_back();
+    batch.pieces = std::move(queued_);
+    queued_.clear();
+    queued_bytes_ = 0;
+    const std::vector<Piece>* pieces = &batch.pieces;
+    batch.ticket = HashPool::Shared().Post(
+        pieces->size(), workers_, [pieces](std::size_t i) {
+          const Piece& p = (*pieces)[i];
+          std::memcpy(p.dst, p.src.data(), p.src.size());
+        });
+  }
+
+  const int workers_;
+  const std::size_t batch_bytes_;
+  std::vector<Piece> queued_;
+  std::size_t queued_bytes_ = 0;
+  std::deque<Batch> posted_;
+};
+
+}  // namespace
+
+Result<std::size_t> ReadSession::ReadAt(std::uint64_t offset,
+                                        MutableByteSpan out) {
+  if (offset >= record_.size || out.empty()) return std::size_t{0};
 
   // Serialize the whole call: the window, cache and failover state are one
   // coherent machine, and ChunkData's returned pointer aliases the cache.
@@ -536,7 +604,6 @@ Result<std::size_t> ReadSession::ReadChunks(std::uint64_t offset,
   // reader whose every attempt re-swept the replica set.
   fetch_attempts_.clear();
 
-  std::size_t written = 0;
   const auto& chunks = record_.chunk_map.chunks;
   // Chunks are ordered by file_offset; binary-search the starting chunk.
   std::size_t lo = 0, hi = chunks.size();
@@ -549,55 +616,52 @@ Result<std::size_t> ReadSession::ReadChunks(std::uint64_t offset,
     }
   }
 
+  CopyOut copies(assembly_workers_, options_.chunk_size);
+  Status status;
+  std::size_t written = 0;
   std::uint64_t pos = offset;
-  for (std::size_t i = lo; i < chunks.size() && written < max; ++i) {
+  for (std::size_t i = lo; i < chunks.size() && written < out.size(); ++i) {
     const ChunkLocation& c = chunks[i];
     if (pos < c.file_offset) break;  // hole (should not happen)
     if (pos >= c.file_offset + c.size) continue;
 
     bool was_cached = cache_index_.contains(i);
+    // ChunkData yields verified bytes only — a replica was checked against
+    // its address by the serving benefactor, an erasure-coded chunk after
+    // reassembly — so nothing unverified is queued for the caller.
     Result<const BufferSlice*> chunk = ChunkData(i);
     if (!chunk.ok()) {
-      // Leave no assembly running behind an error.
-      AwaitAssemblies();
-      return chunk.status();
+      status = chunk.status();
+      break;
     }
-    const BufferSlice* data = chunk.value();
     if (was_cached) ++stats_.cache_hits;
 
     std::uint64_t chunk_off = pos - c.file_offset;
     std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(c.size - chunk_off, max - written));
-    sink(data->span().subspan(static_cast<std::size_t>(chunk_off), n));
+        std::min<std::uint64_t>(c.size - chunk_off, out.size() - written));
+    copies.Add(chunk.value()->Subslice(static_cast<std::size_t>(chunk_off), n),
+               out.data() + written);
     written += n;
     pos += n;
+  }
+  // Every copy lands before the call returns, on success or error alike:
+  // the caller may free `out` the moment it has the result.
+  copies.AwaitAll();
+  if (!status.ok()) {
+    // Leave no assembly running behind an error.
+    AwaitAssemblies();
+    return status;
   }
   return written;
 }
 
-Result<std::size_t> ReadSession::ReadAt(std::uint64_t offset,
-                                        MutableByteSpan out) {
-  std::uint8_t* dst = out.data();
-  return ReadChunks(offset, out.size(), [&dst](ByteSpan bytes) {
-    std::memcpy(dst, bytes.data(), bytes.size());
-    dst += bytes.size();
-  });
-}
-
 Result<Bytes> ReadSession::ReadAll() {
-  // Appended chunk by chunk: sizing the vector up front would zero-fill
-  // the whole image only to copy over it.
-  Bytes out;
-  out.reserve(record_.size);
-  while (out.size() < record_.size) {
-    STDCHK_ASSIGN_OR_RETURN(
-        std::size_t n,
-        ReadChunks(out.size(), record_.size - out.size(),
-                   [&out](ByteSpan bytes) {
-                     out.insert(out.end(), bytes.begin(), bytes.end());
-                   }));
-    if (n == 0) return DataLossError("short read at offset " +
-                                     std::to_string(out.size()));
+  // Sized without zero-filling (Bytes(n) leaves the bytes unspecified):
+  // ReadAt overwrites every byte, in parallel.
+  Bytes out(record_.size);
+  STDCHK_ASSIGN_OR_RETURN(std::size_t n, ReadAt(0, MutableByteSpan(out)));
+  if (n < out.size()) {
+    return DataLossError("short read at offset " + std::to_string(n));
   }
   return out;
 }

@@ -20,6 +20,11 @@
 // check — is posted to the shared HashPool, at most W at a time, while the
 // session thread goes on gathering. A chunk's assembly is awaited, counted
 // and cached only when the chunk is demanded.
+//
+// Verified chunks go straight into the caller's buffer: ReadAt queues each
+// chunk's piece with its destination and posts the copies to the same pool
+// in batches of at least ClientOptions::chunk_size bytes, so the read
+// path's one copy spreads over W threads behind the fetch window.
 #pragma once
 
 #include <cstdint>
@@ -76,10 +81,16 @@ class ReadSession {
   // Reads up to `out.size()` bytes at `offset`; returns bytes read (0 at
   // EOF). Sequential callers get the full pipelined window. Serialized on
   // the session mutex: concurrent callers share one window and cache.
+  // Each chunk is verified before any of its bytes reach `out`; the copies
+  // into `out` — the read path's one copy — run on the shared HashPool
+  // (W > 1) while later chunks are fetched, and every one has landed
+  // before ReadAt returns, whether it succeeds or fails. One call, one
+  // failover budget.
   Result<std::size_t> ReadAt(std::uint64_t offset, MutableByteSpan out)
       EXCLUDES(mu_);
 
-  // Convenience: the whole file.
+  // Convenience: the whole file, as one ReadAt into a buffer sized without
+  // zero-filling.
   Result<Bytes> ReadAll();
 
   // Snapshot of the accounting, copied under the session mutex so a reader
@@ -141,15 +152,6 @@ class ReadSession {
     Assembly out;
   };
 
-  // The chunk walk behind ReadAt and ReadAll: hands the bytes of every
-  // chunk covering [offset, offset + max) to `sink(ByteSpan)` in file
-  // order — the cached chunk's own bytes, valid only during the call — and
-  // returns how many it handed over (0 at EOF). One call, one failover
-  // budget; an error awaits every assembly before it returns.
-  template <typename Sink>
-  Result<std::size_t> ReadChunks(std::uint64_t offset, std::size_t max,
-                                 Sink&& sink) EXCLUDES(mu_);
-
   std::size_t WindowEnd(std::size_t demand) const;
   // Last position of the erasure-coded window: WindowEnd, widened to W
   // chunks as far as their bytes fit the cache budget.
@@ -179,8 +181,8 @@ class ReadSession {
   void NoteReply(NodeId node, const Status& status) REQUIRES(mu_);
   std::vector<OpHandle> InflightHandles() const REQUIRES(mu_);
   // Blocks until chunk `index` is cached (pumping + harvesting the window).
-  // The returned pointer aliases the cache; it stays valid only while mu_
-  // is held (ReadAt copies out before unlocking).
+  // The returned pointer aliases the cache; it stays valid only until the
+  // next call that may evict (ReadAt takes a slice of it at once).
   Result<const BufferSlice*> ChunkData(std::size_t index) REQUIRES(mu_);
   // Gathers erasure-coded chunk `index`: concurrent GETs for its k data
   // shards (each on its own benefactor — the striped-read parallelism comes

@@ -118,8 +118,8 @@ void WriteSession::StageShards(Generation& gen) {
     }
     // Parity is allocated here rather than by the encode tasks: buffers
     // allocated on pool workers land in glibc per-thread arenas and raise
-    // peak RSS.
-    for (int i = 0; i < m; ++i) gen.parity.emplace_back(shard_size, 0);
+    // peak RSS. Left unfilled: each encode task defines its whole row.
+    for (int i = 0; i < m; ++i) gen.parity.emplace_back(shard_size);
   }
 }
 

@@ -106,8 +106,7 @@ Result<std::vector<Bytes>> ReedSolomon::EncodeParity(
     }
   }
 
-  std::vector<Bytes> parity(static_cast<std::size_t>(m_),
-                            Bytes(shard_size, 0));
+  std::vector<Bytes> parity(static_cast<std::size_t>(m_), Bytes(shard_size));
   for (int i = 0; i < m_; ++i) {
     EncodeParityRow(data_shards, i,
                     MutableByteSpan(parity[static_cast<std::size_t>(i)]));
@@ -120,6 +119,7 @@ void ReedSolomon::EncodeParityRow(std::span<const ByteSpan> data_shards,
   assert(static_cast<int>(data_shards.size()) == k_);
   assert(row >= 0 && row < m_);
   const std::vector<std::uint8_t>& coeffs = Row(k_ + row);
+  std::fill(out.begin(), out.end(), 0);
   for (int j = 0; j < k_; ++j) {
     ByteSpan shard = data_shards[static_cast<std::size_t>(j)];
     assert(shard.size() <= out.size());

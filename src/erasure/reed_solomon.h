@@ -53,12 +53,13 @@ class ReedSolomon {
   Result<std::vector<Bytes>> EncodeParity(
       const std::vector<ByteSpan>& data_shards, std::size_t shard_size) const;
 
-  // One parity row: accumulates parity shard `row` (in [0, m)) of the k
-  // data-shard views into `out`, which the caller zeroes and sizes to the
-  // shard size; views may be shorter (virtually zero-padded) but not
-  // longer. A row reads the views and writes only `out`, so the m rows of
-  // one block may run on m threads at once — the write session's naming
-  // window does — with a result independent of the split. EncodeParity
+  // One parity row: computes parity shard `row` (in [0, m)) of the k
+  // data-shard views into `out`, which the caller sizes to the shard size
+  // and the row defines in full (prior contents are ignored); views may be
+  // shorter (virtually zero-padded) but not longer. A row reads the views
+  // and writes only `out`, so the m rows of one block may run on m threads
+  // at once — the write session's naming window does — with a result
+  // independent of the split. EncodeParity
   // validates its arguments; this entry point only asserts them.
   void EncodeParityRow(std::span<const ByteSpan> data_shards, int row,
                        MutableByteSpan out) const;

@@ -177,11 +177,6 @@ Status MetadataManager::ReleaseReservation(ReservationId id) {
   return OkStatus();
 }
 
-Status MetadataManager::CommitVersion(ReservationId id,
-                                      const VersionRecord& record) {
-  return CommitVersionAt(id, record, /*placed_epoch=*/0);
-}
-
 Status MetadataManager::CommitVersionAt(ReservationId id,
                                         const VersionRecord& record,
                                         std::uint64_t placed_epoch) {

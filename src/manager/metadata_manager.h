@@ -115,11 +115,9 @@ class MetadataManager {
 
   // Atomic commit of a version's chunk map — the session-semantics commit
   // point. Releases the reservation (id 0 = no reservation).
-  Status CommitVersion(ReservationId id, const VersionRecord& record);
-
-  // Epoch-validated commit: `placed_epoch` is the table epoch the client
-  // placed against (0 = nothing was placed, no validation). If membership
-  // changed since placement, replicas on departed benefactors are dropped;
+  // `placed_epoch` is the table epoch the client placed against (0 =
+  // nothing was placed, no validation). If membership changed since
+  // placement, replicas on departed benefactors are dropped;
   // the commit is rejected FailedPrecondition if any chunk would be left
   // with no live replica — a stale client can never commit onto a departed
   // benefactor.

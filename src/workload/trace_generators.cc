@@ -246,6 +246,9 @@ class XenLikeTrace final : public CheckpointTrace {
         std::size_t n = std::min<std::size_t>(8, options_.header_bytes - 8);
         std::memcpy(out.data() + pos + 8, &flags, n);
       }
+      if (options_.header_bytes > 16) {
+        std::memset(out.data() + pos + 16, 0, options_.header_bytes - 16);
+      }
       image_.RenderPage(idx, out.data() + pos + options_.header_bytes);
       pos += record;
     }

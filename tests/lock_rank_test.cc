@@ -112,7 +112,7 @@ TEST(LockRankTest, ManagerSnapshotAndGcWalkTheFullHierarchy) {
   loc.replicas = {node};
   record.chunk_map.chunks.push_back(loc);
   record.size = 1024;
-  ASSERT_TRUE(manager.CommitVersion(0, record).ok());
+  ASSERT_TRUE(manager.CommitVersionAt(0, record, /*placed_epoch=*/0).ok());
 
   Bytes snapshot = manager.SaveSnapshot();
   EXPECT_FALSE(snapshot.empty());

@@ -100,8 +100,8 @@ TEST_F(MetadataManagerTest, CommitReleasesReservation) {
   auto res = Reserve(1, 10_MiB);
   ASSERT_TRUE(res.ok());
   ASSERT_TRUE(manager_
-                  .CommitVersion(res.value().id,
-                                 MakeVersion("app", 1, res.value().stripe[0]))
+                  .CommitVersionAt(res.value().id,
+                                 MakeVersion("app", 1, res.value().stripe[0]), /*placed_epoch=*/0)
                   .ok());
   EXPECT_EQ(manager_.ExtendReservation(res.value().id, 1).code(),
             StatusCode::kNotFound);
@@ -113,13 +113,13 @@ TEST_F(MetadataManagerTest, CommitInheritsFolderReplicationTarget) {
   ASSERT_TRUE(manager_.SetFolderPolicy("app", policy).ok());
   VersionRecord v = MakeVersion("app", 1, nodes_[0]);
   v.replication_target = 0;  // inherit
-  ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
+  ASSERT_TRUE(manager_.CommitVersionAt(0, v, /*placed_epoch=*/0).ok());
   EXPECT_EQ(manager_.GetVersion(v.name).value().replication_target, 3);
 }
 
 TEST_F(MetadataManagerTest, FilterAndLocateChunks) {
   VersionRecord v = MakeVersion("app", 1, nodes_[2]);
-  ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
+  ASSERT_TRUE(manager_.CommitVersionAt(0, v, /*placed_epoch=*/0).ok());
   ChunkId known = v.chunk_map.chunks[0].id;
   ChunkId unknown = MakeChunkId(424242);
 
@@ -156,7 +156,7 @@ TEST_F(MetadataManagerTest, CrashMakesRpcsUnavailable) {
 
 TEST_F(MetadataManagerTest, CommittedStateSurvivesRestart) {
   VersionRecord v = MakeVersion("app", 1, nodes_[0]);
-  ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
+  ASSERT_TRUE(manager_.CommitVersionAt(0, v, /*placed_epoch=*/0).ok());
   manager_.Crash();
   manager_.Restart();
   EXPECT_TRUE(manager_.GetVersion(v.name).ok());
@@ -164,7 +164,7 @@ TEST_F(MetadataManagerTest, CommittedStateSurvivesRestart) {
 
 TEST_F(MetadataManagerTest, ExpiryDropsReplicasAndReportsLoss) {
   VersionRecord v = MakeVersion("app", 1, nodes_[0]);
-  ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
+  ASSERT_TRUE(manager_.CommitVersionAt(0, v, /*placed_epoch=*/0).ok());
 
   // Only node 0 goes silent.
   clock_.AdvanceSeconds(11);
@@ -183,7 +183,7 @@ TEST_F(MetadataManagerTest, ExpiryDropsReplicasAndReportsLoss) {
 
 TEST_F(MetadataManagerTest, GcExchangeIdentifiesOrphans) {
   VersionRecord v = MakeVersion("app", 1, nodes_[0]);
-  ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
+  ASSERT_TRUE(manager_.CommitVersionAt(0, v, /*placed_epoch=*/0).ok());
 
   ChunkId live = v.chunk_map.chunks[0].id;
   ChunkId orphan = MakeChunkId(777);
@@ -209,7 +209,7 @@ TEST_F(MetadataManagerTest, GcDefersWhileNodeHasActiveReservation) {
 
 TEST_F(MetadataManagerTest, GcExchangeReintegratesReturningNodesReplicas) {
   VersionRecord v = MakeVersion("app", 1, nodes_[0]);
-  ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
+  ASSERT_TRUE(manager_.CommitVersionAt(0, v, /*placed_epoch=*/0).ok());
   ChunkId chunk = v.chunk_map.chunks[0].id;
 
   // Node 0 goes silent; its replicas are dropped (data loss for r=1).
@@ -257,7 +257,7 @@ TEST_F(MetadataManagerTest, RecoveryOffersWithDifferentMapsDoNotMix) {
 
 TEST_F(MetadataManagerTest, RecoveryOfferAfterCommitIsNoOp) {
   VersionRecord v = MakeVersion("app", 1, nodes_[0]);
-  ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
+  ASSERT_TRUE(manager_.CommitVersionAt(0, v, /*placed_epoch=*/0).ok());
   EXPECT_TRUE(manager_.OfferRecoveredVersion(nodes_[1], v, 3).ok());
   EXPECT_EQ(manager_.catalog().TotalVersions(), 1u);
 }
@@ -265,7 +265,7 @@ TEST_F(MetadataManagerTest, RecoveryOfferAfterCommitIsNoOp) {
 TEST_F(MetadataManagerTest, ReplicationCommandsForUnderReplicatedChunks) {
   VersionRecord v = MakeVersion("app", 1, nodes_[0]);
   v.replication_target = 3;
-  ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
+  ASSERT_TRUE(manager_.CommitVersionAt(0, v, /*placed_epoch=*/0).ok());
 
   std::vector<ReplicationCommand> cmds = manager_.TickReplication();
   ASSERT_EQ(cmds.size(), 2u);
@@ -292,7 +292,7 @@ TEST_F(MetadataManagerTest, ReplicationCommandsForUnderReplicatedChunks) {
 TEST_F(MetadataManagerTest, FailedReplicationIsRetried) {
   VersionRecord v = MakeVersion("app", 1, nodes_[0]);
   v.replication_target = 2;
-  ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
+  ASSERT_TRUE(manager_.CommitVersionAt(0, v, /*placed_epoch=*/0).ok());
 
   auto cmds = manager_.TickReplication();
   ASSERT_EQ(cmds.size(), 1u);
@@ -326,7 +326,7 @@ TEST_F(MetadataManagerTest, ReplicationRespectsPerTickBudget) {
   }
   record.size = 500;
   record.replication_target = 2;
-  ASSERT_TRUE(manager.CommitVersion(0, record).ok());
+  ASSERT_TRUE(manager.CommitVersionAt(0, record, /*placed_epoch=*/0).ok());
 
   EXPECT_EQ(manager.TickReplication().size(), 2u);
 }
@@ -474,7 +474,7 @@ TEST_F(MetadataManagerTest, ShardedCatalogCountsPerShardOps) {
 
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
-        manager.CommitVersion(0, MakeVersion("app" + std::to_string(i), 1, node))
+        manager.CommitVersionAt(0, MakeVersion("app" + std::to_string(i), 1, node), /*placed_epoch=*/0)
             .ok());
   }
   std::vector<CatalogShardStats> shards = manager.Counters().catalog_shards;

@@ -116,8 +116,8 @@ TEST(MetadataShardTest, RandomizedWorkloadMatchesSingleShard) {
         committed_chunks.insert(seed);
       }
       record.size = static_cast<std::uint64_t>(chunk_count) * 512;
-      Status s1 = m1.CommitVersion(0, record);
-      Status s7 = m7.CommitVersion(0, record);
+      Status s1 = m1.CommitVersionAt(0, record, /*placed_epoch=*/0);
+      Status s7 = m7.CommitVersionAt(0, record, /*placed_epoch=*/0);
       ASSERT_EQ(s1.code(), s7.code());
       if (s1.ok()) live.push_back(record.name);
     } else if (op < 7 && !live.empty()) {  // delete a random version
