@@ -76,8 +76,11 @@ struct ChunkLocation {
   // replicas, the chunk is striped into ec_k data + ec_m parity shards on
   // distinct benefactors — `shards` lists them in shard order (data first,
   // then parity) and `replicas` stays empty (zero full copies, ~(k+m)/k
-  // storage overhead). `id` remains the whole-chunk content address; a
-  // reader verifies it after reassembly/reconstruction. Shard sizes are
+  // storage overhead). A reader checks every data shard it serves, fetched
+  // or decoded, against that shard's id; parity is checked only through
+  // the shards decoded from it. `id` remains the whole-chunk content
+  // address, the chunk-map and dedup key; the read path re-checks it over
+  // the verified shards only in builds without NDEBUG. Shard sizes are
   // derived, not stored: ErasureShardSize/ErasureShardLength below.
   std::uint16_t ec_k = 0;
   std::uint16_t ec_m = 0;

@@ -7,6 +7,15 @@
 #include <utility>
 
 namespace stdchk {
+namespace {
+
+std::vector<BufferSlice> OneSlice(BufferSlice data) {
+  std::vector<BufferSlice> slices;
+  slices.push_back(std::move(data));
+  return slices;
+}
+
+}  // namespace
 
 ReadSession::ReadSession(Transport* transport, VersionRecord record,
                          ClientOptions options)
@@ -219,10 +228,10 @@ void ReadSession::Deliver(OpCompletion c, std::size_t demand) {
     // transient state.
     if (fetch.indices.size() == 1) {
       singles_only_.erase(fetch.indices[0]);
-      Insert(fetch.indices[0], std::move(c.data));
+      Insert(fetch.indices[0], OneSlice(std::move(c.data)));
     } else {
       for (std::size_t j = 0; j < fetch.indices.size(); ++j) {
-        Insert(fetch.indices[j], std::move(c.batch[j]));
+        Insert(fetch.indices[j], OneSlice(std::move(c.batch[j])));
       }
     }
     stats_.chunks_fetched += fetch.indices.size();
@@ -246,11 +255,12 @@ void ReadSession::Deliver(OpCompletion c, std::size_t demand) {
   }
 }
 
-Result<const BufferSlice*> ReadSession::ChunkData(std::size_t index) {
+Result<const std::vector<BufferSlice>*> ReadSession::ChunkData(
+    std::size_t index) {
   const ChunkLocation& loc = record_.chunk_map.chunks[index];
   while (true) {
     if (auto it = cache_index_.find(index); it != cache_index_.end()) {
-      return &it->second->data;
+      return &it->second->slices;
     }
     STDCHK_RETURN_IF_ERROR(PumpWindow(index));
     auto gather = gathers_.find(index);
@@ -324,8 +334,13 @@ void ReadSession::GatherShards(std::size_t index, std::size_t demand) {
   // A missing data shard needs the codec: one per (k, m), built once and
   // shared read-only by every assembly task.
   const ReedSolomon* rs = nullptr;
-  if (std::any_of(g.got.begin(), g.got.begin() + k,
-                  [](const auto& shard) { return !shard.has_value(); })) {
+  std::size_t missing_bytes = 0;
+  for (int s = 0; s < k; ++s) {
+    if (!g.got[static_cast<std::size_t>(s)].has_value()) {
+      missing_bytes += ErasureShardLength(loc.size, k, s);
+    }
+  }
+  if (missing_bytes > 0) {
     auto codec = codecs_.find({k, loc.ec_m});
     if (codec == codecs_.end()) {
       Result<ReedSolomon> created = ReedSolomon::Create(k, loc.ec_m);
@@ -335,7 +350,8 @@ void ReadSession::GatherShards(std::size_t index, std::size_t demand) {
     }
     rs = &codec->second;
   }
-  g.out.buffer.reserve(loc.size);
+  g.out.decoded.resize(missing_bytes);  // not filled: decoding defines it
+  g.out.slices.reserve(static_cast<std::size_t>(k));
   g.settled = true;
   g.posted = true;
   ++assembling_;
@@ -397,33 +413,44 @@ void ReadSession::Assemble(const ChunkLocation& loc,
                            const ReedSolomon* rs, Assembly* out) {
   const int k = loc.ec_k;
   const std::size_t shard_size = ErasureShardSize(loc.size, k);
-  Bytes assembled = std::move(out->buffer);
-  assembled.resize(loc.size);
+  auto shard_error = [&loc](int s, const char* what) {
+    return DataLossError("shard " + std::to_string(s) + " of chunk " +
+                         loc.id.ToHex() + " " + what);
+  };
+
+  // Fetched data shards are checked against their own addresses and
+  // served as they are; the missing ones are listed for decoding.
   std::vector<int> want;
-  std::vector<MutableByteSpan> outs;
   for (int s = 0; s < k; ++s) {
-    std::size_t len = ErasureShardLength(loc.size, k, s);
+    const std::size_t len = ErasureShardLength(loc.size, k, s);
     if (len == 0) continue;
-    MutableByteSpan region(
-        assembled.data() + static_cast<std::size_t>(s) * shard_size, len);
     const auto& shard = got[static_cast<std::size_t>(s)];
-    if (shard.has_value()) {
-      if (shard->size() != len) {
-        out->status = DataLossError("shard " + std::to_string(s) +
-                                    " of chunk " + loc.id.ToHex() +
-                                    " has the wrong stored size");
-        return;
-      }
-      std::memcpy(region.data(), shard->data(), len);
-    } else {
+    if (!shard.has_value()) {
       want.push_back(s);
-      outs.push_back(region);
+    } else if (shard->size() != len) {
+      out->status = shard_error(s, "has the wrong stored size");
+      return;
+    } else if (ChunkId::For(*shard) !=
+               loc.shards[static_cast<std::size_t>(s)].id) {
+      out->status = shard_error(s, "failed integrity verification");
+      return;
     }
   }
-  // Reassembly is the one real copy of the EC read path (k scattered shard
-  // buffers into one contiguous chunk); account it honestly.
-  copy_stats::RecordCopy(loc.size);
+
+  // Missing shards decode into consecutive regions of the buffer the
+  // session thread sized for them alone, and each is hashed against its
+  // own address. Parity is never hashed: a corrupt parity shard shows up
+  // as a decoded shard that fails its id.
+  BufferRef rebuilt;
   if (!want.empty()) {
+    Bytes decoded = std::move(out->decoded);
+    std::vector<MutableByteSpan> outs;
+    std::size_t offset = 0;
+    for (int s : want) {
+      const std::size_t len = ErasureShardLength(loc.size, k, s);
+      outs.emplace_back(decoded.data() + offset, len);
+      offset += len;
+    }
     std::vector<std::optional<ByteSpan>> views(got.size());
     for (std::size_t s = 0; s < got.size(); ++s) {
       const auto& shard = got[s];
@@ -431,21 +458,48 @@ void ReadSession::Assemble(const ChunkLocation& loc,
     }
     out->status = rs->RecoverShards(views, shard_size, want, outs);
     if (!out->status.ok()) return;
+    for (std::size_t w = 0; w < want.size(); ++w) {
+      if (ChunkId::For(ByteSpan(outs[w])) !=
+          loc.shards[static_cast<std::size_t>(want[w])].id) {
+        out->status = shard_error(want[w],
+                                  "failed integrity verification after "
+                                  "reconstruction");
+        return;
+      }
+    }
+    rebuilt = BufferRef::Take(std::move(decoded));
     out->rebuilt = true;
   }
 
-  // Content-based addressability doubles as the integrity check: the
-  // reassembled (possibly reconstructed) chunk must hash to its address.
-  BufferSlice data(BufferRef::Take(std::move(assembled)));
-  ChunkId actual = ChunkId::For(data.span());
-  if (actual != loc.id) {
-    out->status = DataLossError("chunk " + loc.id.ToHex() +
-                                " failed integrity verification after "
-                                "reassembly");
-    return;
+  // The verified data shards in chunk order: fetched ones alias the
+  // serving node's buffer, decoded ones the rebuilt buffer.
+  std::size_t offset = 0;
+  for (int s = 0; s < k; ++s) {
+    const std::size_t len = ErasureShardLength(loc.size, k, s);
+    if (len == 0) continue;
+    const auto& shard = got[static_cast<std::size_t>(s)];
+    if (shard.has_value()) {
+      out->slices.push_back(*shard);
+    } else {
+      out->slices.emplace_back(rebuilt, offset, len);
+      offset += len;
+    }
   }
-  data.StampDigest(actual.digest);
-  out->data = std::move(data);
+
+#ifndef NDEBUG
+  // The whole-chunk id is the map and dedup key, not the read check; debug
+  // builds still confirm the verified shards make up exactly that chunk,
+  // which catches a decoder or shard-layout bug, or a shard list that does
+  // not belong to the chunk. Like the shard checks, it fails the chunk, not
+  // the process.
+  Sha1Hasher whole;
+  for (const BufferSlice& slice : out->slices) whole.Update(slice.span());
+  if (ChunkId{whole.Finish()} != loc.id) {
+    out->slices.clear();
+    out->status = DataLossError("shards of chunk " + loc.id.ToHex() +
+                                " do not make up the chunk");
+  }
+#endif
 }
 
 Status ReadSession::TakeAssembly(std::size_t index, std::size_t demand) {
@@ -458,7 +512,7 @@ Status ReadSession::TakeAssembly(std::size_t index, std::size_t demand) {
   if (g.out.rebuilt) ++stats_.reconstructions;
   Status status = std::move(g.out.status);
   if (status.ok()) {
-    Insert(index, std::move(g.out.data));
+    Insert(index, std::move(g.out.slices));
     EvictToBudget(demand);
   }
   gathers_.erase(it);
@@ -495,12 +549,13 @@ void ReadSession::AwaitAssemblies() {
   for (const auto& [index, g] : gathers_) HashPool::Shared().Await(g.ticket);
 }
 
-void ReadSession::Insert(std::size_t index, BufferSlice data) {
+void ReadSession::Insert(std::size_t index,
+                         std::vector<BufferSlice> slices) {
   if (cache_index_.contains(index)) return;
-  cache_bytes_ += data.size();
+  cache_bytes_ += record_.chunk_map.chunks[index].size;
   stats_.cache_bytes_peak = std::max<std::uint64_t>(stats_.cache_bytes_peak,
                                                     cache_bytes_);
-  cache_.push_back(Cached{index, std::move(data)});
+  cache_.push_back(Cached{index, std::move(slices)});
   cache_index_[index] = std::prev(cache_.end());
 }
 
@@ -516,7 +571,7 @@ void ReadSession::EvictToBudget(std::size_t demand) {
       ++it;
       continue;
     }
-    cache_bytes_ -= it->data.size();
+    cache_bytes_ -= record_.chunk_map.chunks[it->index].size;
     cache_index_.erase(it->index);
     it = cache_.erase(it);
     ++stats_.cache_evictions;
@@ -627,22 +682,33 @@ Result<std::size_t> ReadSession::ReadAt(std::uint64_t offset,
 
     bool was_cached = cache_index_.contains(i);
     // ChunkData yields verified bytes only — a replica was checked against
-    // its address by the serving benefactor, an erasure-coded chunk after
-    // reassembly — so nothing unverified is queued for the caller.
-    Result<const BufferSlice*> chunk = ChunkData(i);
+    // its address by the serving benefactor, each data shard of an
+    // erasure-coded chunk against its shard address — so nothing
+    // unverified is queued for the caller.
+    Result<const std::vector<BufferSlice>*> chunk = ChunkData(i);
     if (!chunk.ok()) {
       status = chunk.status();
       break;
     }
     if (was_cached) ++stats_.cache_hits;
 
-    std::uint64_t chunk_off = pos - c.file_offset;
-    std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(c.size - chunk_off, out.size() - written));
-    copies.Add(chunk.value()->Subslice(static_cast<std::size_t>(chunk_off), n),
-               out.data() + written);
-    written += n;
-    pos += n;
+    // One piece per slice the range overlaps.
+    auto skip = static_cast<std::size_t>(pos - c.file_offset);
+    std::size_t left = static_cast<std::size_t>(
+        std::min<std::uint64_t>(c.size - skip, out.size() - written));
+    for (const BufferSlice& slice : *chunk.value()) {
+      if (left == 0) break;
+      if (skip >= slice.size()) {
+        skip -= slice.size();
+        continue;
+      }
+      std::size_t n = std::min(slice.size() - skip, left);
+      copies.Add(slice.Subslice(skip, n), out.data() + written);
+      written += n;
+      pos += n;
+      left -= n;
+      skip = 0;
+    }
   }
   // Every copy lands before the call returns, on success or error alike:
   // the caller may free `out` the moment it has the result.

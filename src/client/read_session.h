@@ -16,15 +16,23 @@
 // Erasure-coded chunks ride the same window, widened to W =
 // ClientOptions::hash_workers chunks when that is larger (as far as the
 // cache budget holds it): the engine gathers k shards for each, and once a
-// chunk has them its reassembly — copy, Reed-Solomon decode, content-address
-// check — is posted to the shared HashPool, at most W at a time, while the
-// session thread goes on gathering. A chunk's assembly is awaited, counted
-// and cached only when the chunk is demanded.
+// chunk has them its assembly — check each fetched data shard against its
+// shard address, Reed-Solomon decode the missing ones and check those the
+// same way — is posted to the shared HashPool, at most W at a time, while
+// the session thread goes on gathering. A chunk's assembly is awaited,
+// counted and cached only when the chunk is demanded. Every byte delivered
+// from an erasure-coded chunk has been checked against its shard's content
+// address; the whole-chunk id is the chunk-map and dedup key, re-checked
+// over the verified shards in builds without NDEBUG only, where a mismatch
+// fails the chunk with kDataLoss like a shard check does.
 //
-// Verified chunks go straight into the caller's buffer: ReadAt queues each
-// chunk's piece with its destination and posts the copies to the same pool
-// in batches of at least ClientOptions::chunk_size bytes, so the read
-// path's one copy spreads over W threads behind the fetch window.
+// A cached chunk is an ordered list of verified slices: one for a replica,
+// the k data shards for an erasure-coded chunk (fetched shards alias the
+// serving node's buffer; decoded ones share one buffer per chunk). ReadAt
+// queues one piece per slice its range overlaps, with its destination, and
+// posts the copies to the same pool in batches of at least
+// ClientOptions::chunk_size bytes, so the read path's one copy spreads over
+// W threads behind the fetch window — for both redundancy modes.
 #pragma once
 
 #include <cstdint>
@@ -109,9 +117,11 @@ class ReadSession {
   }
 
  private:
+  // A verified chunk: its bytes in order, as slices that share the serving
+  // node's buffer (or, for decoded shards, the assembly's) — never a copy.
   struct Cached {
     std::size_t index;
-    BufferSlice data;  // shares the serving node's buffer — never a copy
+    std::vector<BufferSlice> slices;
   };
   // One in-flight transport op and the window chunks riding on it.
   struct Fetch {
@@ -129,12 +139,15 @@ class ReadSession {
   };
   // An assembly task's slots: the only memory the task writes.
   struct Assembly {
-    // Reserved on the session thread, so chunk memory comes from its
-    // allocator arena: buffers allocated by pool workers would park freed
-    // chunks in per-thread arenas and raise the process's peak RSS.
-    Bytes buffer;
+    // Sized for the missing data shards only (empty when none is missing)
+    // on the session thread, so decoded bytes come from its allocator
+    // arena: buffers allocated by pool workers would park freed chunks in
+    // per-thread arenas and raise the process's peak RSS.
+    Bytes decoded;
     Status status;
-    BufferSlice data;
+    // The k data shards' verified slices in chunk order (zero-length tail
+    // shards left out); reserved on the session thread too.
+    std::vector<BufferSlice> slices;
     bool rebuilt = false;  // decoded from parity
   };
   // An erasure-coded chunk in the window: its shard gather, then its
@@ -180,15 +193,17 @@ class ReadSession {
   // Liveness bookkeeping for a reply from `node`.
   void NoteReply(NodeId node, const Status& status) REQUIRES(mu_);
   std::vector<OpHandle> InflightHandles() const REQUIRES(mu_);
-  // Blocks until chunk `index` is cached (pumping + harvesting the window).
-  // The returned pointer aliases the cache; it stays valid only until the
-  // next call that may evict (ReadAt takes a slice of it at once).
-  Result<const BufferSlice*> ChunkData(std::size_t index) REQUIRES(mu_);
+  // Blocks until chunk `index` is cached (pumping + harvesting the window)
+  // and returns its verified slices in order. The pointer aliases the
+  // cache; it stays valid only until the next call that may evict (ReadAt
+  // takes sub-slices of it at once).
+  Result<const std::vector<BufferSlice>*> ChunkData(std::size_t index)
+      REQUIRES(mu_);
   // Gathers erasure-coded chunk `index`: concurrent GETs for its k data
   // shards (each on its own benefactor — the striped-read parallelism comes
   // free), parity only to cover a shard whose holder is dead or failed.
-  // Once k shards are in, posts the reassembly (see Assemble in the .cc) —
-  // the demand chunk always, read-ahead while fewer than W are posted.
+  // Once k shards are in, posts the assembly (see Assemble) — the demand
+  // chunk always, read-ahead while fewer than W are posted.
   void GatherShards(std::size_t index, std::size_t demand) REQUIRES(mu_);
   // Requests shards until k are in hand or asked for, in shard order
   // (data first). A holder observed dead is passed over while an untried
@@ -197,12 +212,14 @@ class ReadSession {
   // dead node costs one failed RPC per session. Returns false when the
   // chunk can no longer gather k shards.
   bool RequestShards(std::size_t index, Gather& g) REQUIRES(mu_);
-  // The assembly task: reassembles a chunk from k gathered shards — data
-  // shards copy into place, missing ones decode straight into their region
-  // of the chunk buffer, no scratch shard buffers — and checks the result
-  // against the chunk's content address. `rs` is null when no data shard
-  // is missing. Reads only its inputs and writes only `out`, so it runs on
-  // any pool thread.
+  // The assembly task: verifies a chunk one data shard at a time and lists
+  // its slices, copying nothing. A fetched data shard is checked against
+  // its shard id (a stamp compare when the serving store stamped it, a
+  // re-hash otherwise) and served as is; missing ones decode straight into
+  // `out->decoded` and are hashed against their own shard ids. Parity is
+  // not hashed: a corrupt parity shard surfaces as a decoded shard that
+  // fails its id. `rs` is null when no data shard is missing. Reads only
+  // its inputs and writes only `out`, so it runs on any pool thread.
   static void Assemble(const ChunkLocation& loc,
                        const std::vector<std::optional<BufferSlice>>& got,
                        const ReedSolomon* rs, Assembly* out);
@@ -215,7 +232,8 @@ class ReadSession {
   void RetireGathers(std::size_t demand, std::size_t end) REQUIRES(mu_);
   void AwaitAssemblies() REQUIRES(mu_);
 
-  void Insert(std::size_t index, BufferSlice data) REQUIRES(mu_);
+  void Insert(std::size_t index, std::vector<BufferSlice> slices)
+      REQUIRES(mu_);
   void EvictToBudget(std::size_t demand) REQUIRES(mu_);
 
   Transport* transport_;

@@ -8,10 +8,9 @@
 // traffic; with the SIMD GF(256) kernels that tradeoff is measured, not
 // asserted.
 //
-// The span-based entry points (EncodeParity over ByteSpans and its
-// per-row EncodeParityRow, RecoverShards) are the data-path API: callers
-// encode straight out of BufferSlice views and decode straight into
-// caller buffers, with no staging copies. Views shorter than the nominal
+// The API is span-based (EncodeParity and its per-row EncodeParityRow,
+// RecoverShards): callers encode straight out of BufferSlice views and
+// decode straight into caller buffers, with no staging copies. Views shorter than the nominal
 // shard size are treated as zero-padded to it — the stored tail shard of a
 // block whose size is not a multiple of k — so the virtual padding never
 // materializes either.
@@ -35,18 +34,7 @@ class ReedSolomon {
   int parity_shards() const { return m_; }
   int total_shards() const { return k_ + m_; }
 
-  // Splits `data` into k equal shards (zero-padded) and appends m parity
-  // shards. Returns k+m shards, each of size ceil(data.size()/k). The k
-  // padded data-shard copies are this call's contract (it returns them) and
-  // are accounted in copy_stats; data-path callers use the span overload of
-  // EncodeParity instead and keep their shards as views.
-  std::vector<Bytes> EncodeBlock(ByteSpan data) const;
-
-  // Computes parity for pre-split, equal-length data shards.
-  Result<std::vector<Bytes>> EncodeParity(
-      const std::vector<Bytes>& data_shards) const;
-
-  // Span-based parity: encodes from k data-shard views, each at most
+  // Parity: encodes from k data-shard views, each at most
   // `shard_size` bytes (shorter views are virtually zero-padded — no copy,
   // the missing tail contributes nothing). Returns m parity shards of
   // exactly `shard_size` bytes, one EncodeParityRow each.
@@ -76,15 +64,6 @@ class ReedSolomon {
   Status RecoverShards(const std::vector<std::optional<ByteSpan>>& shards,
                        std::size_t shard_size, const std::vector<int>& want,
                        const std::vector<MutableByteSpan>& out) const;
-
-  // Reconstructs all missing shards in place. `shards` has k+m entries;
-  // std::nullopt marks a lost shard. Fails if fewer than k survive.
-  Status Reconstruct(std::vector<std::optional<Bytes>>& shards) const;
-
-  // Convenience: reassembles the original block of `data_size` bytes from
-  // (possibly damaged) shards.
-  Result<Bytes> DecodeBlock(std::vector<std::optional<Bytes>> shards,
-                            std::size_t data_size) const;
 
  private:
   ReedSolomon(int k, int m);

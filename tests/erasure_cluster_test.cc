@@ -3,8 +3,10 @@
 // k survivors at read time, k-survivor accounting in the manager (repair,
 // loss, GC) and snapshot round-tripping of shard groups. The pipelined read
 // side: identical bytes and counters for every assembly width, dead-holder
-// skipping, random access, integrity failures surfacing only on demand,
-// and teardown with assemblies in flight. The write side's naming window:
+// skipping, random access and reads split on shard boundaries, integrity
+// failures (a tampered data or parity shard, or in debug builds a shard list
+// of another chunk) surfacing only on demand, no payload copies, and
+// teardown with assemblies in flight. The write side's naming window:
 // teardown with shard encodes queued, and a stripe death while encoded
 // shards wait in the window.
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <thread>
 
 #include "client/read_session.h"
+#include "common/buffer.h"
 #include "common/hash_pool.h"
 #include "common/rng.h"
 #include "core/cluster.h"
@@ -488,6 +491,182 @@ TEST_F(ErasureClusterTest, TamperedShardFailsOnlyWhenItsChunkIsDemanded) {
     EXPECT_TRUE(std::equal(
         tail.begin(), tail.end(),
         data.begin() + static_cast<std::ptrdiff_t>((bad + 1) * kChunk)));
+  }
+}
+
+TEST_F(ErasureClusterTest, TamperedParityFailsOnlyWhenItsChunkIsDemanded) {
+  constexpr std::size_t kChunk = 4096;
+  Bytes data = rng_.RandomBytes(8 * kChunk);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  VersionRecord record = Record(Name(1));
+  const std::size_t bad = 2;
+  const ChunkLocation& loc = record.chunk_map.chunks[bad];
+  // With a data-shard holder down, the bad chunk decodes from its first
+  // parity shard, which the transport corrupts. Parity is not hashed at
+  // the reader: only the decoded shard's own address can catch it.
+  ASSERT_TRUE(cluster_->CrashBenefactor(IndexOf(loc.shards[0].node)).ok());
+
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("W " + std::to_string(workers));
+    TamperingTransport tamper(&cluster_->transport(), loc.shards[kK].id);
+    ClientOptions o = cluster_->client().options();
+    o.hash_workers = workers;
+    o.read_ahead_chunks = 2;
+    ReadSession session(&tamper, record, o);
+
+    Bytes head(2 * kChunk);
+    auto n = session.ReadAt(0, MutableByteSpan(head));
+    ASSERT_TRUE(n.ok()) << n.status();
+    ASSERT_EQ(n.value(), head.size());
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), data.begin()));
+    EXPECT_GE(tamper.target_gets(), 1) << "the parity was read ahead";
+
+    Bytes buf(kChunk, 0xEE);
+    auto bad_read = session.ReadAt(bad * kChunk, MutableByteSpan(buf));
+    ASSERT_FALSE(bad_read.ok());
+    EXPECT_EQ(bad_read.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(buf, Bytes(kChunk, 0xEE));
+
+    Bytes tail(data.size() - (bad + 1) * kChunk);
+    auto rest = session.ReadAt((bad + 1) * kChunk, MutableByteSpan(tail));
+    ASSERT_TRUE(rest.ok()) << rest.status();
+    EXPECT_TRUE(std::equal(
+        tail.begin(), tail.end(),
+        data.begin() + static_cast<std::ptrdiff_t>((bad + 1) * kChunk)));
+    EXPECT_GT(session.stats().reconstructions, 0u);
+  }
+}
+
+TEST_F(ErasureClusterTest, ShardsOfAnotherChunkFailInDebugBuilds) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the whole-chunk check runs only in builds without NDEBUG";
+#else
+  constexpr std::size_t kChunk = 4096;
+  Bytes data = rng_.RandomBytes(8 * kChunk);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  VersionRecord record = Record(Name(1));
+  const std::size_t bad = 2;
+  // Every shard of the bad chunk matches its own address, but the chunk id
+  // names another chunk: the shard list does not belong to it.
+  record.chunk_map.chunks[bad].id = record.chunk_map.chunks[bad + 1].id;
+
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("W " + std::to_string(workers));
+    ClientOptions o = cluster_->client().options();
+    o.hash_workers = workers;
+    o.read_ahead_chunks = 2;
+    ReadSession session(&cluster_->transport(), record, o);
+
+    Bytes head(bad * kChunk);
+    auto n = session.ReadAt(0, MutableByteSpan(head));
+    ASSERT_TRUE(n.ok()) << n.status();
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), data.begin()));
+
+    Bytes buf(kChunk, 0xEE);
+    auto bad_read = session.ReadAt(bad * kChunk, MutableByteSpan(buf));
+    ASSERT_FALSE(bad_read.ok());
+    EXPECT_EQ(bad_read.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(buf, Bytes(kChunk, 0xEE));
+
+    Bytes tail(data.size() - (bad + 1) * kChunk);
+    auto rest = session.ReadAt((bad + 1) * kChunk, MutableByteSpan(tail));
+    ASSERT_TRUE(rest.ok()) << rest.status();
+    EXPECT_TRUE(std::equal(
+        tail.begin(), tail.end(),
+        data.begin() + static_cast<std::ptrdiff_t>((bad + 1) * kChunk)));
+  }
+#endif
+}
+
+TEST_F(ErasureClusterTest, RestartsCopyNoPayload) {
+  // Fetched shards are served from the benefactor's buffer and decoded
+  // ones from the assembly's: the one copy into the caller's buffer is the
+  // read path's only one, and it is not a payload duplication.
+  Bytes data = rng_.RandomBytes(12 * 4096 + 1500);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  for (int dead : {0, kM}) {
+    if (dead > 0) CrashShardHolders(*cluster_, Record(Name(1)), dead);
+    for (int workers : {1, 4}) {
+      SCOPED_TRACE("dead " + std::to_string(dead) + " W " +
+                   std::to_string(workers));
+      ClientOptions o = cluster_->client().options();
+      o.hash_workers = workers;
+      auto reader = cluster_->MakeClient(o)->OpenFile(Name(1));
+      ASSERT_TRUE(reader.ok());
+      CopyStatsSnapshot before = copy_stats::Snapshot();
+      auto got = reader.value()->ReadAll();
+      CopyStatsSnapshot after = copy_stats::Snapshot();
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got.value(), data);
+      EXPECT_EQ(after.payload_copies, before.payload_copies);
+      EXPECT_EQ(after.payload_copy_bytes, before.payload_copy_bytes);
+      EXPECT_EQ(reader.value()->stats().reconstructions > 0, dead > 0);
+    }
+  }
+}
+
+TEST_F(ErasureClusterTest, ReadsSplitExactlyOnShardBoundaries) {
+  // 4097-byte chunks: shard width 1025, so each chunk's tail data shard is
+  // a short 1022 bytes, and the file's last chunk (1501 bytes) has shards
+  // of 376 and a 373-byte tail.
+  constexpr std::uint32_t kChunk = 4097;
+  constexpr std::uint32_t kLast = 1501;
+  ClusterOptions options;
+  options.benefactor_count = 9;
+  options.client.chunk_size = kChunk;
+  options.client.erasure = {kK, kM};
+  StdchkCluster cluster(options);
+  Bytes data = rng_.RandomBytes(3 * kChunk + kLast);
+  ASSERT_TRUE(cluster.client().WriteFile(Name(1), data).ok());
+  auto record = cluster.manager().GetVersion(Name(1));
+  ASSERT_TRUE(record.ok());
+  ASSERT_EQ(record.value().chunk_map.chunks.size(), 4u);
+
+  // Interesting offsets: every shard boundary, one byte either side, and
+  // points inside each chunk's short tail shard.
+  std::set<std::uint64_t> points{data.size()};
+  for (const ChunkLocation& loc : record.value().chunk_map.chunks) {
+    const std::size_t width = ErasureShardSize(loc.size, kK);
+    for (int s = 0; s < kK; ++s) {
+      std::uint64_t at = loc.file_offset + static_cast<std::size_t>(s) * width;
+      points.insert({at, at + 1});
+      if (at > 0) points.insert(at - 1);
+    }
+    points.insert(loc.file_offset + loc.size - 2);
+  }
+
+  for (int dead : {0, 1}) {
+    if (dead > 0) {
+      // Down: the holder of the last chunk's tail shard, so that short
+      // shard is decoded rather than fetched.
+      const ChunkLocation& last = record.value().chunk_map.chunks.back();
+      for (std::size_t i = 0; i < cluster.benefactor_count(); ++i) {
+        if (cluster.benefactor(i).id() == last.shards[kK - 1].node) {
+          ASSERT_TRUE(cluster.CrashBenefactor(i).ok());
+        }
+      }
+    }
+    for (int workers : {1, 4}) {
+      ClientOptions o = cluster.client().options();
+      o.hash_workers = workers;
+      auto reader = cluster.MakeClient(o)->OpenFile(Name(1));
+      ASSERT_TRUE(reader.ok());
+      for (auto a = points.begin(); a != points.end(); ++a) {
+        for (auto b = std::next(a); b != points.end(); ++b) {
+          Bytes buf(static_cast<std::size_t>(*b - *a));
+          auto n = reader.value()->ReadAt(*a, MutableByteSpan(buf));
+          ASSERT_TRUE(n.ok()) << n.status();
+          ASSERT_EQ(n.value(), buf.size());
+          ASSERT_TRUE(std::equal(
+              buf.begin(), buf.end(),
+              data.begin() + static_cast<std::ptrdiff_t>(*a)))
+              << "dead " << dead << " W " << workers << " [" << *a << ", "
+              << *b << ")";
+        }
+      }
+      EXPECT_EQ(reader.value()->stats().reconstructions > 0, dead > 0)
+          << "W " << workers;
+    }
   }
 }
 

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
 #include "chunk/chunk.h"
 #include "common/rng.h"
 #include "erasure/gf256.h"
+#include "rs_test_util.h"
 
 namespace stdchk {
 namespace {
@@ -102,17 +104,17 @@ TEST_P(ReedSolomonTest, SurvivesEveryLossPatternUpToM) {
 
   Rng rng(static_cast<std::uint64_t>(k * 100 + m));
   Bytes data = rng.RandomBytes(static_cast<std::size_t>(k) * 257 + 13);
-  std::vector<Bytes> shards = rs->EncodeBlock(data);
-  ASSERT_EQ(shards.size(), static_cast<std::size_t>(k + m));
+  EncodedBlock encoded = EncodeShards(*rs, data);
+  ASSERT_EQ(encoded.parity.size(), static_cast<std::size_t>(m));
 
   // Knock out m shards at rotating positions; always recoverable.
   for (int start = 0; start < k + m; ++start) {
-    std::vector<std::optional<Bytes>> damaged(shards.begin(), shards.end());
+    std::vector<std::optional<ByteSpan>> damaged = encoded.Shards();
     for (int loss = 0; loss < m; ++loss) {
       damaged[static_cast<std::size_t>((start + loss * 2) % (k + m))] =
           std::nullopt;
     }
-    auto decoded = rs->DecodeBlock(damaged, data.size());
+    auto decoded = DecodeShards(*rs, damaged, data.size());
     ASSERT_TRUE(decoded.ok()) << "start=" << start;
     EXPECT_EQ(decoded.value(), data);
   }
@@ -124,17 +126,23 @@ TEST_P(ReedSolomonTest, ReconstructRestoresParityToo) {
   ASSERT_TRUE(rs.ok());
   Rng rng(static_cast<std::uint64_t>(k * 7 + m));
   Bytes data = rng.RandomBytes(static_cast<std::size_t>(k) * 64);
-  std::vector<Bytes> shards = rs->EncodeBlock(data);
+  EncodedBlock encoded = EncodeShards(*rs, data);
+  std::vector<std::optional<ByteSpan>> damaged = encoded.Shards();
 
-  std::vector<std::optional<Bytes>> damaged(shards.begin(), shards.end());
   // Lose the last parity shard, plus a data shard when m allows two losses.
-  damaged[static_cast<std::size_t>(k + m - 1)] = std::nullopt;
-  if (m >= 2) damaged[0] = std::nullopt;
+  std::vector<int> lost{k + m - 1};
+  if (m >= 2) lost.insert(lost.begin(), 0);
+  for (int s : lost) damaged[static_cast<std::size_t>(s)] = std::nullopt;
 
-  ASSERT_TRUE(rs->Reconstruct(damaged).ok());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    ASSERT_TRUE(damaged[i].has_value());
-    EXPECT_EQ(*damaged[i], shards[i]) << "shard " << i;
+  // Recovering parity takes full-width outputs for every wanted shard.
+  std::vector<Bytes> recovered(lost.size(), Bytes(encoded.shard_size, 0));
+  std::vector<MutableByteSpan> outs(recovered.begin(), recovered.end());
+  ASSERT_TRUE(rs->RecoverShards(damaged, encoded.shard_size, lost, outs).ok());
+  std::vector<std::optional<ByteSpan>> original = encoded.Shards();
+  for (std::size_t w = 0; w < lost.size(); ++w) {
+    ByteSpan want = *original[static_cast<std::size_t>(lost[w])];
+    EXPECT_EQ(recovered[w], Bytes(want.begin(), want.end()))
+        << "shard " << lost[w];
   }
 }
 
@@ -152,20 +160,33 @@ TEST(ReedSolomonTest, FailsBeyondMLosses) {
   ASSERT_TRUE(rs.ok());
   Rng rng(9);
   Bytes data = rng.RandomBytes(4096);
-  std::vector<Bytes> shards = rs->EncodeBlock(data);
-  std::vector<std::optional<Bytes>> damaged(shards.begin(), shards.end());
+  EncodedBlock encoded = EncodeShards(*rs, data);
+  std::vector<std::optional<ByteSpan>> damaged = encoded.Shards();
   damaged[0] = damaged[1] = damaged[2] = std::nullopt;  // 3 > m = 2
-  EXPECT_EQ(rs->Reconstruct(damaged).code(), StatusCode::kDataLoss);
+  Bytes out(encoded.shard_size);
+  EXPECT_EQ(rs->RecoverShards(damaged, encoded.shard_size, {0},
+                              {MutableByteSpan(out)})
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeShards(*rs, damaged, data.size()).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(ReedSolomonTest, NoLossIsNoOp) {
   auto rs = ReedSolomon::Create(3, 2);
   ASSERT_TRUE(rs.ok());
   Bytes data = ToBytes("erasure coded checkpoint data");
-  std::vector<Bytes> shards = rs->EncodeBlock(data);
-  std::vector<std::optional<Bytes>> intact(shards.begin(), shards.end());
-  ASSERT_TRUE(rs->Reconstruct(intact).ok());
-  auto decoded = rs->DecodeBlock(intact, data.size());
+  EncodedBlock encoded = EncodeShards(*rs, data);
+  std::vector<std::optional<ByteSpan>> intact = encoded.Shards();
+  // Nothing wanted: nothing to do.
+  ASSERT_TRUE(rs->RecoverShards(intact, encoded.shard_size, {}, {}).ok());
+  // A present shard that is wanted anyway comes back as it is.
+  Bytes copy(encoded.data[1].size());
+  ASSERT_TRUE(rs->RecoverShards(intact, encoded.shard_size, {1},
+                                {MutableByteSpan(copy)})
+                  .ok());
+  EXPECT_TRUE(std::equal(copy.begin(), copy.end(), encoded.data[1].begin()));
+  auto decoded = DecodeShards(*rs, intact, data.size());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), data);
 }
@@ -177,13 +198,14 @@ TEST(ReedSolomonTest, ValidatesParameters) {
   EXPECT_TRUE(ReedSolomon::Create(251, 4).ok());
 }
 
-TEST(ReedSolomonTest, EncodeParityRejectsUnevenShards) {
+TEST(ReedSolomonTest, EncodeParityRejectsOversizedViewsAndWrongCount) {
   auto rs = ReedSolomon::Create(2, 1);
   ASSERT_TRUE(rs.ok());
-  std::vector<Bytes> uneven{Bytes(10), Bytes(11)};
-  EXPECT_FALSE(rs->EncodeParity(uneven).ok());
-  std::vector<Bytes> wrong_count{Bytes(10)};
-  EXPECT_FALSE(rs->EncodeParity(wrong_count).ok());
+  Bytes a(10, 1), b(11, 2);
+  // Shorter views are virtual zero padding; a longer one is an error.
+  EXPECT_TRUE(rs->EncodeParity({ByteSpan(a), ByteSpan(b)}, 11).ok());
+  EXPECT_FALSE(rs->EncodeParity({ByteSpan(a), ByteSpan(b)}, 10).ok());
+  EXPECT_FALSE(rs->EncodeParity({ByteSpan(a)}, 10).ok());
 }
 
 TEST(ReedSolomonTest, TinyAndEmptyPayloads) {
@@ -193,11 +215,11 @@ TEST(ReedSolomonTest, TinyAndEmptyPayloads) {
                         std::size_t{4}, std::size_t{5}}) {
     Rng rng(n + 1);
     Bytes data = rng.RandomBytes(n);
-    std::vector<Bytes> shards = rs->EncodeBlock(data);
-    std::vector<std::optional<Bytes>> damaged(shards.begin(), shards.end());
+    EncodedBlock encoded = EncodeShards(*rs, data);
+    std::vector<std::optional<ByteSpan>> damaged = encoded.Shards();
     damaged[1] = std::nullopt;
     damaged[4] = std::nullopt;
-    auto decoded = rs->DecodeBlock(damaged, n);
+    auto decoded = DecodeShards(*rs, damaged, n);
     ASSERT_TRUE(decoded.ok()) << n;
     EXPECT_EQ(decoded.value(), data);
   }

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "erasure/gf256.h"
 #include "erasure/reed_solomon.h"
+#include "rs_test_util.h"
 
 namespace stdchk {
 namespace {
@@ -202,18 +203,16 @@ TEST(Gf256SimdTest, ReconstructAgreesAcrossImplsAndRoundTrips) {
 
   for (Gf256Impl impl : AvailableImpls()) {
     Gf256ForceImpl(impl);
-    std::vector<Bytes> shards = rs.value().EncodeBlock(
-        ByteSpan(data.data(), data.size()));
+    EncodedBlock encoded = EncodeShards(rs.value(), data);
+    std::vector<std::optional<ByteSpan>> shards = encoded.Shards();
     ASSERT_EQ(shards.size(), 6u);
 
     // Knock out any m = 2 shards and rebuild the block.
     for (std::size_t a = 0; a < shards.size(); ++a) {
       for (std::size_t b = a + 1; b < shards.size(); ++b) {
-        std::vector<std::optional<Bytes>> damaged(shards.size());
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-          if (s != a && s != b) damaged[s] = shards[s];
-        }
-        auto rebuilt = rs.value().DecodeBlock(damaged, data.size());
+        std::vector<std::optional<ByteSpan>> damaged = shards;
+        damaged[a] = damaged[b] = std::nullopt;
+        auto rebuilt = DecodeShards(rs.value(), damaged, data.size());
         ASSERT_TRUE(rebuilt.ok()) << ImplName(impl) << " lost " << a << ","
                                   << b;
         EXPECT_EQ(rebuilt.value(), data);
